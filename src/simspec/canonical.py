@@ -219,11 +219,8 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     reconstituted canonical pair exactly (asserted per call)."""
     if not P.field.is_rationals:
         return _canonicalize_fp(P)
-    if not has_simple_spectrum(P):
-        from .errors import NotSimpleSpectrumError
-        raise NotSimpleSpectrumError("first matrix lacks simple spectrum")
     field, n = P.field, P.n
-    g0, eigs = diagonalizer(P.A1)
+    g0, eigs = diagonalizer(P.A1)   # raises NotSimpleSpectrumError
     A2p = conjugate(g0, P.A2)
 
     # greedy forest: cross-component nonzero positions in lex order become 1

@@ -5,6 +5,10 @@ polynomial in x1 with value E_tt at diag(a): the Lagrange basis polynomial
 through (a_s, delta_st).  entry_probe_poly(a, i, j) = H_i x2 H_j then isolates
 the (i, j) entry of the second matrix: it evaluates to (A2)_ij E_ij on
 (diag(a), A2).
+
+Each entry probe is an EntryProbe, a plain NcPoly that also remembers its
+(a, i, j), so a probe evaluator can compute its value as H_i(A1) A2 H_j(A1)
+from one table per pair instead of expanding it into words.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ def _check_distinct(a):
         raise ValueError("eigenvalues must be pairwise distinct")
 
 
-@lru_cache(maxsize=8192)
+# one decision needs at most n idempotents and n^2 entry probes per
+# eigenvalue tuple; a larger bound only lets memory grow with throughput
+@lru_cache(maxsize=256)
 def _idempotent_cached(a: tuple, t: int) -> NcPoly:
     field = a[0].field
     n = len(a)
@@ -54,17 +60,31 @@ def idempotent_poly(a, t: int) -> NcPoly:
     return poly
 
 
-@lru_cache(maxsize=8192)
-def _entry_probe_cached(a: tuple, i: int, j: int) -> NcPoly:
-    field = a[0].field
-    x2 = NcPoly.letter(field, 2, m=2)
-    hi = _idempotent_cached(a, i)
-    hj = _idempotent_cached(a, j)
-    out = hi * x2 * hj
-    return NcPoly(field, 2, dict(out.terms()))
+class EntryProbe(NcPoly):
+    """H_i x2 H_j as an NcPoly in two letters, tagged with (a, i, j).
+
+    Equality, hashing and text are those of the underlying NcPoly; the tag
+    only tells an evaluator which entry of the per-pair table to read.
+    """
+
+    __slots__ = ("eigs", "i", "j")
+
+    def __init__(self, a: tuple, i: int, j: int):
+        field = a[0].field
+        x2 = NcPoly.letter(field, 2, m=2)
+        out = _idempotent_cached(a, i) * x2 * _idempotent_cached(a, j)
+        super().__init__(field, 2, dict(out.terms()))
+        object.__setattr__(self, "eigs", a)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
 
-def entry_probe_poly(a, i: int, j: int) -> NcPoly:
+@lru_cache(maxsize=256)
+def _entry_probe_cached(a: tuple, i: int, j: int) -> EntryProbe:
+    return EntryProbe(a, i, j)
+
+
+def entry_probe_poly(a, i: int, j: int) -> EntryProbe:
     """H_i x2 H_j; evaluates to (A2)_ij E_ij on (diag(a), A2)."""
     a = tuple(a)
     _check_distinct(a)

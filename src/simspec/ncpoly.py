@@ -5,6 +5,11 @@ word (the identity).  NcPoly keeps a zero-free map from words to coefficients,
 so equality is structural.  NcExpr is a factored companion form, a sum of
 scalar * product-of-NcPoly terms, used where full expansion would blow up; it
 evaluates exactly and carries a certified degree upper bound.
+
+The invariant probes do not go through eval: separators.ProbeEvaluator reads
+their values from a per-pair table of entry values, while their degrees are
+still certified here, on the formal polynomials.  NcPoly.eval, NcExpr.eval
+and expand serve general polynomials and are the reference for that table.
 """
 
 from __future__ import annotations

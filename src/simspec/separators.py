@@ -6,6 +6,12 @@ image vanishes, rank probes read the rank of a polynomial image.  Probes built
 from one pair's canonical data separate it from any non-equivalent pair of the
 same size, with certified degree bounds: zeta probes stay below 2n-1, rank
 probes below (n+1)(2n-1).
+
+Degrees are certified on the formal polynomials, but values are not computed
+by expanding them into words.  Every zeta and rank probe is built from entry
+probes h_ij = H_i x2 H_j, and a ProbeEvaluator holds one pair's table of
+entry values H_i(A1) A2 H_j(A1): each costs one matmul per pair, however many
+probes read it, and a rank probe multiplies the table values of its factors.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .canonical import (
 )
 from .errors import NotSimpleSpectrumError
 from .fields import QQ, Field, FieldElement, PrimeField
-from .idempotents import entry_probe_poly
+from .idempotents import EntryProbe, entry_probe_poly, idempotent_poly
 from .matrices import Mat, det, rank, sigma
 from .ncpoly import NcExpr, NcPoly
 from .staircase import ThreeDiagSeq, staircase_cert
@@ -40,6 +46,63 @@ def rank_indicator(M: Mat, t: int) -> int:
     if not 0 <= t <= min(M.nrows, M.ncols):
         raise ValueError("t out of range")
     return 1 if rank(M) == t else 0
+
+
+class ProbeEvaluator:
+    """Probe values on one pair, from one table of entry values.
+
+    The powers A1^0..A1^(n-1) are computed once, each H_t(A1) is a linear
+    combination of them, L_i = H_i(A1) A2 is formed once per i and
+    h_ij(P) = L_i H_j(A1) once per (i, j); every probe evaluated through the
+    same evaluator reads the same table.  Every factor must be an entry
+    probe: a probe that lost its tag is refused, not expanded into words.
+    """
+
+    def __init__(self, P: MatrixPair):
+        self.pair = P
+        self._powers = [Mat.identity(P.field, P.n)]
+        self._H = {}     # (a, t) -> H_t(A1)
+        self._L = {}     # (a, i) -> H_i(A1) A2
+        self._h = {}     # (a, i, j) -> h_ij(P)
+
+    def _idempotent(self, a: tuple, t: int) -> Mat:
+        got = self._H.get((a, t))
+        if got is None:
+            H = idempotent_poly(a, t)
+            while len(self._powers) <= H.formal_degree:
+                self._powers.append(self._powers[-1] @ self.pair.A1)
+            terms = [(c, self._powers[len(w)].rows) for w, c in H.terms()]
+            n, zero = self.pair.n, self.pair.field.zero
+            got = Mat(self.pair.field,
+                      [[sum((c * M[r][s] for c, M in terms), zero) for s in range(n)]
+                       for r in range(n)])
+            self._H[(a, t)] = got
+        return got
+
+    def entry(self, a: tuple, i: int, j: int) -> Mat:
+        """h_ij(P) = H_i(A1) A2 H_j(A1) for the eigenvalue basis a."""
+        got = self._h.get((a, i, j))
+        if got is None:
+            left = self._L.get((a, i))
+            if left is None:
+                left = self._L[(a, i)] = self._idempotent(a, i) @ self.pair.A2
+            got = self._h[(a, i, j)] = left @ self._idempotent(a, j)
+        return got
+
+    def value(self, poly) -> Mat:
+        """poly(P) for an entry probe or an NcExpr of entry probes."""
+        if isinstance(poly, EntryProbe):
+            return self.entry(poly.eigs, poly.i, poly.j)
+        if not isinstance(poly, NcExpr):
+            raise TypeError("probe factor is not an entry probe")
+        field, n = poly.field, self.pair.n
+        acc = Mat.zeros(field, n)
+        for c, factors in poly.terms:
+            prod = None
+            for f in factors:
+                prod = self.value(f) if prod is None else prod @ self.value(f)
+            acc = acc + (Mat.identity(field, n) if prod is None else prod) * c
+        return acc
 
 
 @dataclass(frozen=True)
@@ -68,10 +131,15 @@ class InvariantProbe:
             return self.poly.degree_bound
         return self.poly.formal_degree
 
-    def evaluate(self, P: MatrixPair):
+    def evaluate(self, P: MatrixPair, values: ProbeEvaluator | None = None):
+        """The probe's value on P; pass P's evaluator to share its table."""
         if self.kind == "sigma":
             return sigma(P.A1, self.t)
-        value = self.poly.eval(P.mats(), P.n)
+        if values is None:
+            values = ProbeEvaluator(P)
+        elif values.pair is not P:
+            raise ValueError("the evaluator belongs to another pair")
+        value = values.value(self.poly)
         if self.kind == "zeta":
             return zero_indicator(value)
         return rank(value)
@@ -137,6 +205,12 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
     canonical representatives.  Full agreement forces equal types; a
     disagreeing probe is a genuine invariant witness (the pairs then lie in
     different orbits, though possibly of the same type)."""
+    return _type_separation(P, Q)[0]
+
+
+def _type_separation(P: MatrixPair, Q: MatrixPair):
+    """type_separation's report, with P's canonical pair (None when a sigma
+    probe separates) so that a caller need not canonicalize P again."""
     _require_admissible(P, Q)
     n = P.n
     count = 0
@@ -145,23 +219,24 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
         count += 1
         va, vb = probe.evaluate(P), probe.evaluate(Q)
         if va != vb:
-            return SeparationReport(False, probe, va, vb, count)
+            return SeparationReport(False, probe, va, vb, count), None
     CP = canonicalize(P).canon
     CQ = canonicalize(Q).canon
     assert CP.eigs == CQ.eigs, "equal sigmas must force equal eigenvalues"
     RP, RQ = CP.reconstituted(), CQ.reconstituted()
+    vp, vq = ProbeEvaluator(RP), ProbeEvaluator(RQ)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             probe = zeta_entry_probe(CP.eigs, i, j)
             count += 1
-            va, vb = probe.evaluate(RP), probe.evaluate(RQ)
+            va, vb = probe.evaluate(RP, vp), probe.evaluate(RQ, vq)
             if va != vb:
-                return SeparationReport(False, probe, va, vb, count)
+                return SeparationReport(False, probe, va, vb, count), CP
     assert CP.type_graph == CQ.type_graph, \
         "probe agreement must force equal types"
-    return _equal_report(count)
+    return _equal_report(count), CP
 
 
 def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
@@ -216,15 +291,15 @@ def orbit_eq_by_ranks(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
     """Decide orbit equality through invariant probes only: sigma probes,
     entry-vanishing zeta probes, then one rank probe per free parameter of P's
     canonical form, each evaluated on the raw input pairs."""
-    rep = type_separation(P, Q)
+    rep, CP = _type_separation(P, Q)
     if not rep.equal:
         return rep
     count = rep.probes_evaluated
-    CP = canonicalize(P).canon
+    vp, vq = ProbeEvaluator(P), ProbeEvaluator(Q)
     for i, j in CP.star.star_positions():
         probe = build_param_probe(CP, i, j)
         count += 1
-        va, vb = probe.evaluate(P), probe.evaluate(Q)
+        va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
         if va != vb:
             return SeparationReport(False, probe, va, vb, count)
     return _equal_report(count)

@@ -23,12 +23,14 @@ An all-REV sequence bypasses the recursion: u1 = x1 and u2 = xk..x1 satisfy
 u1(S) E u2(S) = w1(S) with w1 = x1 (that word pair is deliberately not
 multilinear; its degree sum is exactly k+1, still within the k+2 budget).
 
-Every outcome is re-verified on the concrete matrices before being returned.
+Every outcome is re-verified on the concrete matrices before being returned;
+staircase_cert does this once per flag pattern and memoizes the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import QQ, Field
 from .matrices import Mat, rank
@@ -268,7 +270,17 @@ def _check_degrees(S: ThreeDiagSeq, cert: StaircaseCert) -> bool:
 
 
 def staircase_cert(S: ThreeDiagSeq) -> StaircaseCert:
-    """Certificate words for S, satisfying the rank formula at every alpha."""
+    """Certificate words for S, satisfying the rank formula at every alpha.
+
+    The words depend only on the flag pattern, so the certificate is built
+    and verified once per pattern, on the labelling 1..k+1 in n = k+1."""
+    return _cert_for_pattern(S.delta)
+
+
+@lru_cache(maxsize=1024)
+def _cert_for_pattern(delta: tuple) -> StaircaseCert:
+    k = len(delta)
+    S = ThreeDiagSeq(tuple(range(1, k + 2)), delta, k + 1)
     if all(d == REV for d in S.delta):
         u1, u2 = reduce_all_reversed(S)
         cert = StaircaseCert(((1,),), u1, u2)

@@ -169,3 +169,21 @@ def test_cert_json():
     S = _seq((1, 2, 3), (REV, REV))
     cert = staircase_cert(S)
     assert cert.to_json() == {"r": 1, "ws": ["x1"], "u1": "x1", "u2": "x2.x1"}
+
+
+def test_certificate_built_once_per_pattern_and_checked(monkeypatch):
+    import simspec.staircase as staircase
+
+    delta = (FWD, REV, FWD)
+    first = staircase_cert(_seq((1, 2, 3, 4), delta))
+    assert staircase_cert(_seq((5, 3, 1, 2), delta, 6)) is first
+    # a wrong outcome for a pattern not yet memoized still fails its check
+    pattern = (REV, FWD, REV, FWD, REV, FWD)
+    staircase._cert_for_pattern.cache_clear()
+    monkeypatch.setattr(staircase, "_reduce",
+                        lambda S: StaircaseOutcome(((1,), (2,), (3,)), (), ()))
+    try:
+        with pytest.raises(AssertionError):
+            staircase_cert(_seq(range(1, 8), pattern))
+    finally:
+        staircase._cert_for_pattern.cache_clear()
