@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import FieldMismatchError, FieldTooSmallError, ResourceGuardError
+from .errors import (FieldMismatchError, FieldTooSmallError, ResourceGuardError,
+                     VerificationError)
 from .fields import Field, FieldElement
 from .matrices import (
     DEFAULT_GL_GUARD,
@@ -23,7 +24,6 @@ from .matrices import (
     conjugate,
     diagonalizer,
     eigs_in_field,
-    inverse,
     mat_from_np,
     order_gl,
 )
@@ -145,6 +145,32 @@ def _greedy_forest(n: int, nonzero) -> list:
     return arrows
 
 
+def _torus_scales(graph: Digraph, one, forward, backward) -> list:
+    """Torus solve: the smallest vertex of each component gets scale one, the
+    rest follow the tree constraints d_u * A2p_uv / d_v = 1 along arrows;
+    d_v is forward(d_u, u, v) for an arrow (u, v), else backward(d_u, u, v).
+    Returns [None, d_1, ..., d_n]."""
+    n = graph.n
+    adj = {v: [] for v in range(1, n + 1)}
+    for a, b in graph.arrows:
+        adj[a].append(b)
+        adj[b].append(a)
+    scale = [None] * (n + 1)
+    for root in range(1, n + 1):
+        if scale[root] is not None:
+            continue
+        scale[root] = one
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in sorted(adj[u]):
+                if scale[v] is None:
+                    step = forward if (u, v) in graph.arrows else backward
+                    scale[v] = step(scale[u], u, v)
+                    queue.append(v)
+    return scale
+
+
 def _canonicalize_fp(P: MatrixPair) -> CanonResult:
     """Array lane of canonicalize: identical algorithm over int64 residues,
     FieldElement structures built only for the returned data."""
@@ -175,25 +201,9 @@ def _canonicalize_fp(P: MatrixPair) -> CanonResult:
     graph = Digraph(n, arrows)
     star = star_from_forest(graph)
 
-    adj = {v: [] for v in range(1, n + 1)}
-    for a, b in arrows:
-        adj[a].append(b)
-        adj[b].append(a)
-    scale = [0] * (n + 1)
-    for root in range(1, n + 1):
-        if scale[root]:
-            continue
-        scale[root] = 1
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if not scale[v]:
-                    if (u, v) in graph.arrows:
-                        scale[v] = scale[u] * int(A2p[u - 1, v - 1]) % p
-                    else:
-                        scale[v] = scale[u] * pow(int(A2p[v - 1, u - 1]), p - 2, p) % p
-                    queue.append(v)
+    scale = _torus_scales(graph, 1,
+                          lambda d, u, v: d * int(A2p[u - 1, v - 1]) % p,
+                          lambda d, u, v: d * pow(int(A2p[v - 1, u - 1]), p - 2, p) % p)
     inv_scale = [0] + [pow(s, p - 2, p) for s in scale[1:]]
     A2c = np.array([[scale[i + 1] * int(A2p[i, j]) * inv_scale[j + 1] % p
                      for j in range(n)] for i in range(n)], dtype=np.int64)
@@ -201,22 +211,26 @@ def _canonicalize_fp(P: MatrixPair) -> CanonResult:
 
     # witness check without inverses: g X = Y g for both components
     diag = np.diag(np.array(roots, dtype=np.int64))
-    assert (kernels.matmul_mod(g, A1, p) == kernels.matmul_mod(diag, g, p)).all()
-    assert (kernels.matmul_mod(g, A2, p) == kernels.matmul_mod(A2c, g, p)).all()
+    if not ((kernels.matmul_mod(g, A1, p) == kernels.matmul_mod(diag, g, p)).all()
+            and (kernels.matmul_mod(g, A2, p) == kernels.matmul_mod(A2c, g, p)).all()):
+        raise VerificationError("witness fails to transform")
 
     eigs = tuple(field.elem(a) for a in roots)
     params = tuple(((i, j), field.elem(int(A2c[i - 1, j - 1])))
                    for i, j in star.star_positions())
     canon = CanonicalPair(n, field, eigs, graph, star, params)
     recon = canon.reconstituted()
-    assert matches(star, recon.A2), "pattern violated by canonical output"
-    assert (recon.A2.to_np() == A2c).all()
+    if not matches(star, recon.A2):
+        raise VerificationError("pattern violated by canonical output")
+    if not (recon.A2.to_np() == A2c).all():
+        raise VerificationError("reconstituted pair differs from the reduced A2")
     return CanonResult(canon, mat_from_np(field, g))
 
 
 def canonicalize(P: MatrixPair) -> CanonResult:
     """Reduce P to its canonical pair; conjugate(result.g, P) equals the
-    reconstituted canonical pair exactly (asserted per call)."""
+    reconstituted canonical pair exactly (checked per call: a failure raises
+    VerificationError)."""
     if not P.field.is_rationals:
         return _canonicalize_fp(P)
     field, n = P.field, P.n
@@ -228,27 +242,9 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     graph = Digraph(n, arrows)
     star = star_from_forest(graph)
 
-    # torus solve: smallest vertex of each component gets scale 1, the rest
-    # follow the tree constraints d_i * A2p_ij / d_j = 1 along arrows
-    adj = {v: [] for v in range(1, n + 1)}
-    for a, b in arrows:
-        adj[a].append(b)
-        adj[b].append(a)
-    scale = [None] * (n + 1)
-    for root in range(1, n + 1):
-        if scale[root] is not None:
-            continue
-        scale[root] = field.one
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if scale[v] is None:
-                    if (u, v) in graph.arrows:
-                        scale[v] = scale[u] * A2p[u - 1, v - 1]
-                    else:
-                        scale[v] = scale[u] / A2p[v - 1, u - 1]
-                    queue.append(v)
+    scale = _torus_scales(graph, field.one,
+                          lambda d, u, v: d * A2p[u - 1, v - 1],
+                          lambda d, u, v: d / A2p[v - 1, u - 1])
     d = Mat.diag(field, scale[1:])
     A2c = Mat(field, [[scale[i + 1] * A2p[i, j] / scale[j + 1] for j in range(n)]
                       for i in range(n)])
@@ -257,9 +253,12 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     canon = CanonicalPair(n, field, tuple(eigs), graph, star, params)
     g = d @ g0
 
+    # witness check without inverses: g X = Y g for both components
     recon = canon.reconstituted()
-    assert conjugate(g, P.mats()) == recon.mats(), "witness fails to transform"
-    assert matches(star, recon.A2), "pattern violated by canonical output"
+    if not (g @ P.A1 == recon.A1 @ g and g @ P.A2 == recon.A2 @ g):
+        raise VerificationError("witness fails to transform")
+    if not matches(star, recon.A2):
+        raise VerificationError("pattern violated by canonical output")
     return CanonResult(canon, g)
 
 

@@ -23,7 +23,7 @@ from .canonical import (
     orbit_eq_brute,
     orbit_eq_canonical,
 )
-from .errors import InputFormatError, SimspecError
+from .errors import InputFormatError, SimspecError, VerificationError
 from .fields import QQ, PrimeField, parse_field
 from .matrices import conjugate
 from .sampling import random_invertible, random_simple_spectrum_pair
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
+    except (AssertionError, VerificationError) as exc:
         print("internal verification failure: %s" % exc, file=sys.stderr)
         return EXIT_DEFECT
     except SimspecError as exc:

@@ -35,3 +35,7 @@ class ResourceGuardError(SimspecError):
 
 class InputFormatError(SimspecError):
     """Malformed scalar, matrix or pair input."""
+
+
+class VerificationError(SimspecError):
+    """An exact self-check of a result failed: a defect, not a bad input."""

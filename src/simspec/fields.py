@@ -10,17 +10,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InputFormatError
+from .errors import FieldMismatchError, InputFormatError, ResourceGuardError
+
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; above MR_BOUND no answer is certain, so
+    ResourceGuardError is raised instead of a probable one."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= MR_BOUND:
+        raise ResourceGuardError("no deterministic primality test for %d" % p)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:     # p - 1 = d 2^s with d odd
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 2 ** r, p) for r in range(s)):
             return False
-        d += 1
     return True
 
 

@@ -275,33 +275,6 @@ def _conjugator_search_src(A1, A2, B1, B2, p):
     return count, ok, found
 
 
-def _count_gl_src(n, p, limit):
-    # invertible count in lex enumeration; stops early past `limit` candidates
-    nn = n * n
-    digits = np.zeros(nn, dtype=np.int64)
-    g = np.zeros((n, n), dtype=np.int64)
-    count = 0
-    total = 1
-    for _ in range(nn):
-        total *= p
-    if total > limit:
-        return -1
-    for _ in range(total):
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = digits[i * n + j]
-        if _det(g, p) != 0:
-            count += 1
-        pos = nn - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < p:
-                break
-            digits[pos] = 0
-            pos -= 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # vectorized numpy lane for the enumeration kernels
 # ---------------------------------------------------------------------------
@@ -361,19 +334,6 @@ def _conjugator_search_np(A1, A2, B1, B2, p):
     return count, ok, found
 
 
-def _count_gl_np(n, p, limit):
-    nn = n * n
-    total = p ** nn
-    if total > limit:
-        return -1
-    count = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        G = _digit_block(start, stop, nn, p).reshape(-1, n, n)
-        count += int((_det_batch(G, p) != 0).sum())
-    return count
-
-
 def _eval_words_np(flat, offs, coeffs, mats, p):
     n = mats.shape[1]
     nwords = offs.shape[0] - 1
@@ -405,7 +365,6 @@ if USE_NUMBA:
     _charpoly = njit(cache=True)(_charpoly_src)
     _eval_words = njit(cache=True)(_eval_words_src)
     _conjugator_search = njit(cache=True)(_conjugator_search_src)
-    _count_gl = njit(cache=True)(_count_gl_src)
 else:
     def _matmul_vec(A, B, p):
         return (A @ B) % p
@@ -419,7 +378,6 @@ else:
     _charpoly = _charpoly_src
     _eval_words = _eval_words_np
     _conjugator_search = _conjugator_search_np
-    _count_gl = _count_gl_np
 
 matmul_mod = _matmul
 rref_mod = _rref
@@ -429,7 +387,6 @@ inverse_mod = _inverse
 charpoly_mod = _charpoly
 eval_words_mod = _eval_words
 conjugator_search_mod = _conjugator_search
-count_gl_mod = _count_gl
 
 
 def _numpy_lane():
@@ -442,7 +399,6 @@ def _numpy_lane():
         "charpoly": _charpoly_src,
         "eval_words": _eval_words_np,
         "conjugator_search": _conjugator_search_np,
-        "count_gl": _count_gl_np,
     }
 
 
@@ -458,7 +414,6 @@ def _numba_lane():
         "charpoly": _charpoly,
         "eval_words": _eval_words,
         "conjugator_search": _conjugator_search,
-        "count_gl": _count_gl,
     }
 
 

@@ -151,10 +151,17 @@ class Mat:
         return "Mat(%r, [%s])" % (self.field, body)
 
     def to_np(self) -> np.ndarray:
-        """int64 residue array; prime fields only."""
+        """int64 residue array; prime fields only.  The kernels sum up to
+        max(nrows, ncols) products of residues in int64, so a modulus whose
+        sums could overflow is refused rather than answered wrongly."""
         if self.field.is_rationals:
             raise TypeError("no int64 form for rational matrices")
         if self._np_cache is None:
+            p = self.field.p
+            if max(self.nrows, self.ncols) * (p - 1) ** 2 >= 2 ** 63:
+                raise ResourceGuardError(
+                    "F_%d is too large for the int64 kernels at size %d"
+                    % (p, max(self.nrows, self.ncols)))
             arr = np.array([[e.value for e in row] for row in self.rows], dtype=np.int64)
             object.__setattr__(self, "_np_cache", arr)
         return self._np_cache
@@ -465,10 +472,3 @@ def enumerate_GL(n: int, p: int, max_order: int = DEFAULT_GL_GUARD):
         if kernels.det_mod(arr, p) != 0:
             yield mat_from_np(field, arr)
 
-
-def count_gl(n: int, p: int, max_candidates: int = 10 ** 8) -> int:
-    """Invertible-matrix count via the kernel lane (same lex enumeration)."""
-    out = int(kernels.count_gl_mod(n, p, max_candidates))
-    if out < 0:
-        raise ResourceGuardError("p^(n*n) exceeds the candidate guard")
-    return out

@@ -7,9 +7,9 @@ scalar * product-of-NcPoly terms, used where full expansion would blow up; it
 evaluates exactly and carries a certified degree upper bound.
 
 The invariant probes do not go through eval: separators.ProbeEvaluator reads
-their values from a per-pair table of entry values, while their degrees are
+their values in each pair's verified eigenbasis, while their degrees are
 still certified here, on the formal polynomials.  NcPoly.eval, NcExpr.eval
-and expand serve general polynomials and are the reference for that table.
+and expand serve general polynomials and the tests' reference evaluation.
 """
 
 from __future__ import annotations

@@ -8,28 +8,34 @@ same size, with certified degree bounds: zeta probes stay below 2n-1, rank
 probes below (n+1)(2n-1).
 
 Degrees are certified on the formal polynomials, but values are not computed
-by expanding them into words.  Every zeta and rank probe is built from entry
-probes h_ij = H_i x2 H_j, and a ProbeEvaluator holds one pair's table of
-entry values H_i(A1) A2 H_j(A1): each costs one matmul per pair, however many
-probes read it, and a rank probe multiplies the table values of its factors.
+by expanding them, nor by multiplying matrices.  Every zeta and rank probe is
+built from entry probes h_ij = H_i x2 H_j, and a ProbeEvaluator reads them in
+the pair's eigenbasis from canonicalize's exactly checked witness g: there
+g h_ij g^-1 is the single entry b_ij of the canonical second matrix B at
+(i, j), so a probe value is assembled from scalar products of entries of B
+and its rank or vanishing is read off directly (both are similarity
+invariants); sigma values are the elementary symmetric functions of the
+eigenvalues.  The trade-off is that the rank decider reads its values
+through the verified witness, not through products of the raw matrices.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 from .canonical import (
     CanonicalPair,
     MatrixPair,
     canonicalize,
     find_conjugator,
-    has_simple_spectrum,
     orbit_eq_canonical,
 )
-from .errors import NotSimpleSpectrumError
+from .errors import FieldTooSmallError, VerificationError
 from .fields import QQ, Field, FieldElement, PrimeField
-from .idempotents import EntryProbe, entry_probe_poly, idempotent_poly
+from .idempotents import EntryProbe, entry_probe_poly
 from .matrices import Mat, det, rank, sigma
 from .ncpoly import NcExpr, NcPoly
 from .staircase import ThreeDiagSeq, staircase_cert
@@ -49,60 +55,74 @@ def rank_indicator(M: Mat, t: int) -> int:
 
 
 class ProbeEvaluator:
-    """Probe values on one pair, from one table of entry values.
+    """Probe values on one simple-spectrum pair, read in its eigenbasis.
 
-    The powers A1^0..A1^(n-1) are computed once, each H_t(A1) is a linear
-    combination of them, L_i = H_i(A1) A2 is formed once per i and
-    h_ij(P) = L_i H_j(A1) once per (i, j); every probe evaluated through the
-    same evaluator reads the same table.  Every factor must be an entry
-    probe: a probe that lost its tag is refused, not expanded into words.
+    With canonicalize's witness g, g A1 g^-1 = diag(lam) and g A2 g^-1 = B,
+    the reconstituted canonical A2.  g H_t(A1) g^-1 = diag(l_t(lam)), l_t the
+    Lagrange weight of idempotent_poly(a, t), so g h_ij(P) g^-1 has entries
+    l_i(lam_k) B_kl l_j(lam_l): just b_ij at (i, j) when a == lam, as in every
+    decision.  value() multiplies these as scalars into g poly(P) g^-1.
     """
 
-    def __init__(self, P: MatrixPair):
-        self.pair = P
-        self._powers = [Mat.identity(P.field, P.n)]
-        self._H = {}     # (a, t) -> H_t(A1)
-        self._L = {}     # (a, i) -> H_i(A1) A2
-        self._h = {}     # (a, i, j) -> h_ij(P)
+    def __init__(self, P: MatrixPair, canon: CanonicalPair | None = None):
+        if canon is None:
+            canon = canonicalize(P).canon
+        self.pair, self.eigs = P, canon.eigs
+        self._B = canon.reconstituted().A2.rows
+        e = [P.field.one] + [P.field.zero] * P.n
+        for lam in self.eigs:
+            e = [e[0]] + [e[k] + e[k - 1] * lam for k in range(1, len(e))]
+        self.sigmas = tuple(e)      # sigma(A1, t) = e_t(lam)
 
-    def _idempotent(self, a: tuple, t: int) -> Mat:
-        got = self._H.get((a, t))
-        if got is None:
-            H = idempotent_poly(a, t)
-            while len(self._powers) <= H.formal_degree:
-                self._powers.append(self._powers[-1] @ self.pair.A1)
-            terms = [(c, self._powers[len(w)].rows) for w, c in H.terms()]
-            n, zero = self.pair.n, self.pair.field.zero
-            got = Mat(self.pair.field,
-                      [[sum((c * M[r][s] for c, M in terms), zero) for s in range(n)]
-                       for r in range(n)])
-            self._H[(a, t)] = got
-        return got
+    def _weights(self, a: tuple, t: int) -> dict:
+        """{k: l_t(lam_k)} without zeros."""
+        one, at = self.pair.field.one, a[t - 1]
+        if a == self.eigs:
+            return {t - 1: one}
+        w = ((k, prod(((lam - s) / (at - s) for s in a if s != at), start=one))
+             for k, lam in enumerate(self.eigs))
+        return {k: v for k, v in w if not v.is_zero()}
 
-    def entry(self, a: tuple, i: int, j: int) -> Mat:
-        """h_ij(P) = H_i(A1) A2 H_j(A1) for the eigenvalue basis a."""
-        got = self._h.get((a, i, j))
-        if got is None:
-            left = self._L.get((a, i))
-            if left is None:
-                left = self._L[(a, i)] = self._idempotent(a, i) @ self.pair.A2
-            got = self._h[(a, i, j)] = left @ self._idempotent(a, j)
-        return got
+    def entry(self, a: tuple, i: int, j: int) -> dict:
+        """g h_ij(P) g^-1 as {(k, l): entry}, for the eigenvalue basis a."""
+        B = self._B
+        return {(k, l): x * B[k][l] * y
+                for k, x in self._weights(a, i).items()
+                for l, y in self._weights(a, j).items() if not B[k][l].is_zero()}
 
     def value(self, poly) -> Mat:
-        """poly(P) for an entry probe or an NcExpr of entry probes."""
-        if isinstance(poly, EntryProbe):
-            return self.entry(poly.eigs, poly.i, poly.j)
-        if not isinstance(poly, NcExpr):
-            raise TypeError("probe factor is not an entry probe")
-        field, n = poly.field, self.pair.n
-        acc = Mat.zeros(field, n)
-        for c, factors in poly.terms:
-            prod = None
+        """g poly(P) g^-1 for an entry probe or an NcExpr of entry probes."""
+        field, n = self.pair.field, self.pair.n
+        terms = poly.terms if isinstance(poly, NcExpr) else [(field.one, (poly,))]
+        acc = {}
+        for c, factors in terms:
+            term = {(k, k): field.one for k in range(n)}
             for f in factors:
-                prod = self.value(f) if prod is None else prod @ self.value(f)
-            acc = acc + (Mat.identity(field, n) if prod is None else prod) * c
-        return acc
+                if not isinstance(f, EntryProbe):
+                    raise TypeError("probe factor is not an entry probe")
+                term = _sparse_product(term, self.entry(f.eigs, f.i, f.j))
+            for pos, v in term.items():
+                acc[pos] = acc[pos] + c * v if pos in acc else c * v
+        zero = field.zero
+        return Mat(field, [[acc.get((k, l), zero) for l in range(n)]
+                           for k in range(n)])
+
+
+def _sparse_product(X: dict, Y: dict) -> dict:
+    """Product of two matrices held as {(row, col): entry}."""
+    out = {}
+    for (k, l), x in X.items():
+        for (m, r), y in Y.items():
+            if l == m:
+                out[(k, r)] = out[(k, r)] + x * y if (k, r) in out else x * y
+    return out
+
+
+# the one-argument InvariantProbe.evaluate canonicalizes a pair once, not
+# once per call, however often a caller evaluates probes on it
+@lru_cache(maxsize=1024)
+def _evaluator_of(P: MatrixPair) -> ProbeEvaluator:
+    return ProbeEvaluator(P)
 
 
 @dataclass(frozen=True)
@@ -132,13 +152,17 @@ class InvariantProbe:
         return self.poly.formal_degree
 
     def evaluate(self, P: MatrixPair, values: ProbeEvaluator | None = None):
-        """The probe's value on P; pass P's evaluator to share its table."""
-        if self.kind == "sigma":
-            return sigma(P.A1, self.t)
+        """The probe's value on P; pass P's evaluator to reuse its
+        eigenbasis.  Without one, a sigma probe reads the characteristic
+        polynomial and other probes canonicalize P."""
         if values is None:
-            values = ProbeEvaluator(P)
+            if self.kind == "sigma":
+                return sigma(P.A1, self.t)
+            values = _evaluator_of(P)
         elif values.pair is not P:
             raise ValueError("the evaluator belongs to another pair")
+        if self.kind == "sigma":
+            return values.sigmas[self.t]
         value = values.value(self.poly)
         if self.kind == "zeta":
             return zero_indicator(value)
@@ -185,8 +209,10 @@ def _equal_report(count: int) -> SeparationReport:
 def _require_admissible(P: MatrixPair, Q: MatrixPair):
     from .canonical import _check_comparable
     _check_comparable(P, Q)
-    if not (has_simple_spectrum(P) and has_simple_spectrum(Q)):
-        raise NotSimpleSpectrumError("both pairs must have simple first spectrum")
+    field = P.field
+    if not field.is_rationals and field.p < P.n:
+        raise FieldTooSmallError("F_%d is too small for %d distinct eigenvalues"
+                                 % (field.p, P.n))
 
 
 def sigma_probe(n: int, t: int) -> InvariantProbe:
@@ -209,34 +235,35 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
 
 
 def _type_separation(P: MatrixPair, Q: MatrixPair):
-    """type_separation's report, with P's canonical pair (None when a sigma
-    probe separates) so that a caller need not canonicalize P again."""
+    """type_separation's report, with P's canonical pair and both pairs'
+    evaluators, so that a caller need not canonicalize again.  canonicalize
+    raises NotSimpleSpectrumError for a pair without simple spectrum."""
     _require_admissible(P, Q)
     n = P.n
+    CP = canonicalize(P).canon
+    CQ = canonicalize(Q).canon
+    vp, vq = ProbeEvaluator(P, CP), ProbeEvaluator(Q, CQ)
     count = 0
     for t in range(1, n + 1):
         probe = sigma_probe(n, t)
         count += 1
-        va, vb = probe.evaluate(P), probe.evaluate(Q)
+        va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
         if va != vb:
-            return SeparationReport(False, probe, va, vb, count), None
-    CP = canonicalize(P).canon
-    CQ = canonicalize(Q).canon
-    assert CP.eigs == CQ.eigs, "equal sigmas must force equal eigenvalues"
-    RP, RQ = CP.reconstituted(), CQ.reconstituted()
-    vp, vq = ProbeEvaluator(RP), ProbeEvaluator(RQ)
+            return SeparationReport(False, probe, va, vb, count), CP, vp, vq
+    if CP.eigs != CQ.eigs:
+        raise VerificationError("equal sigmas must force equal eigenvalues")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             probe = zeta_entry_probe(CP.eigs, i, j)
             count += 1
-            va, vb = probe.evaluate(RP, vp), probe.evaluate(RQ, vq)
+            va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
             if va != vb:
-                return SeparationReport(False, probe, va, vb, count), CP
-    assert CP.type_graph == CQ.type_graph, \
-        "probe agreement must force equal types"
-    return _equal_report(count), CP
+                return SeparationReport(False, probe, va, vb, count), CP, vp, vq
+    if CP.type_graph != CQ.type_graph:
+        raise VerificationError("probe agreement must force equal types")
+    return _equal_report(count), CP, vp, vq
 
 
 def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
@@ -290,12 +317,12 @@ def param_probes(C: CanonicalPair) -> list[InvariantProbe]:
 def orbit_eq_by_ranks(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
     """Decide orbit equality through invariant probes only: sigma probes,
     entry-vanishing zeta probes, then one rank probe per free parameter of P's
-    canonical form, each evaluated on the raw input pairs."""
-    rep, CP = _type_separation(P, Q)
+    canonical form, each evaluated on the input pairs in their verified
+    eigenbases."""
+    rep, CP, vp, vq = _type_separation(P, Q)
     if not rep.equal:
         return rep
     count = rep.probes_evaluated
-    vp, vq = ProbeEvaluator(P), ProbeEvaluator(Q)
     for i, j in CP.star.star_positions():
         probe = build_param_probe(CP, i, j)
         count += 1

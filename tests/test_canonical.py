@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -178,3 +181,67 @@ def test_canonical_pair_structural_equality(rng):
     c1 = canonicalize(P).canon
     c2 = canonicalize(P).canon
     assert c1 == c2 and hash(c1) == hash(c2)
+
+
+# Each script breaks one step of canonicalize, so that the witness it returns
+# is wrong, and runs under python -O, where assert statements are dropped.
+_BREAK_Q = """
+import simspec.canonical as canonical
+real = canonical.diagonalizer
+def swapped(A1):
+    g0, eigs = real(A1)
+    rows = list(g0.rows)
+    rows[0], rows[1] = rows[1], rows[0]
+    return canonical.Mat(g0.field, rows), eigs
+canonical.diagonalizer = swapped
+"""
+
+_BREAK_FP = """
+from simspec import kernels
+real = kernels.inverse_mod
+def off_by_one(A, p):
+    ok, inv = real(A, p)
+    inv = inv.copy()
+    inv[0, 0] = (inv[0, 0] + 1) % p
+    return ok, inv
+kernels.inverse_mod = off_by_one
+"""
+
+_CHECK = """
+import sys
+assert sys.flags.optimize == 1
+from simspec.canonical import MatrixPair, canonicalize
+from simspec.errors import VerificationError
+from simspec.fields import QQ, PrimeField
+from simspec.matrices import Mat
+from simspec.cli import main
+field = QQ if sys.argv[1] == "Q" else PrimeField(7)
+P = MatrixPair(Mat.diag(field, [1, 2, 3]), Mat(field, [[1, 2, 0], [3, 0, 1], [2, 1, 1]]))
+try:
+    canonicalize(P)
+except VerificationError as exc:
+    print("raised:", exc)
+sys.exit(main(["canonicalize", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("lane", ["Q", "F7"])
+def test_wrong_witness_raises_under_python_O(tmp_path, lane):
+    import simspec
+    from simspec.serialize import dumps, pair_to_json
+
+    field = QQ if lane == "Q" else PrimeField(7)
+    P = MatrixPair(Mat.diag(field, [1, 2, 3]),
+                   Mat(field, [[1, 2, 0], [3, 0, 1], [2, 1, 1]]))
+    path = tmp_path / "p.json"
+    path.write_text(dumps(pair_to_json(P)))
+    script = (_BREAK_Q if lane == "Q" else _BREAK_FP) + _CHECK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simspec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, lane, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert "raised: witness fails to transform" in proc.stdout, proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert proc.stdout.count("\n") == 1      # nothing on stdout from the CLI

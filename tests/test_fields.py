@@ -1,10 +1,20 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
-from simspec.errors import FieldMismatchError, InputFormatError
-from simspec.fields import QQ, FieldElement, PrimeField, field_cmp, is_prime, parse_field
+
+from simspec.errors import FieldMismatchError, InputFormatError, ResourceGuardError
+from simspec.fields import (
+    MR_BOUND,
+    QQ,
+    FieldElement,
+    PrimeField,
+    field_cmp,
+    is_prime,
+    parse_field,
+)
 
 
 def test_cmp_examples():
@@ -110,6 +120,44 @@ def test_prime_validation():
         PrimeField(6)
     assert PrimeField(5) is PrimeField(5)
     assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
+
+
+def _trial_division(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(p) == _trial_division(p) for p in range(10 ** 4))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    assert not is_prime(561)
+    assert not is_prime(3215031751)
+    assert is_prime(4294967291) and not is_prime(4294967291 * 65521)
+
+
+def test_large_prime_field_is_fast():
+    start = time.perf_counter()
+    F = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert F.p == 2 ** 61 - 1
+
+
+def test_is_prime_refuses_beyond_its_certified_range():
+    assert not is_prime(MR_BOUND - 1)     # even
+    with pytest.raises(ResourceGuardError):
+        is_prime(MR_BOUND)
+    with pytest.raises(ResourceGuardError):
+        is_prime(2 ** 89 - 1)
 
 
 def test_parse_field_specs():

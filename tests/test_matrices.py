@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -273,3 +274,25 @@ def test_inverse_roundtrip(rng, field):
         assert g @ inverse(g) == Mat.identity(field, n)
     with pytest.raises(SingularMatrixError):
         inverse(Mat.zeros(QQ, 3))
+
+
+def test_int64_overflow_guard_at_large_p():
+    """Above the int64 range of the kernels every F_p op refuses; below it
+    the kernels agree with Python-int arithmetic."""
+    from simspec.canonical import MatrixPair, canonicalize
+
+    rng = random.Random(64)
+    big = PrimeField(4294967291)
+    A = Mat(big, [[rng.randrange(big.p) for _ in range(4)] for _ in range(4)])
+    B = Mat(big, [[rng.randrange(big.p) for _ in range(4)] for _ in range(4)])
+    for op in (lambda: A @ B, lambda: rank(A), lambda: det(A),
+               lambda: canonicalize(MatrixPair(Mat.diag(big, [1, 2, 3, 4]), B))):
+        with pytest.raises(ResourceGuardError):
+            op()
+    p = 1_000_000_007          # 5 (p - 1)^2 < 2^63
+    F = PrimeField(p)
+    X = [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
+    Y = [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
+    want = [[sum(X[i][k] * Y[k][j] for k in range(5)) % p for j in range(5)]
+            for i in range(5)]
+    assert Mat(F, X) @ Mat(F, Y) == Mat(F, want)
