@@ -6,13 +6,15 @@ positions that can be scaled to 1, and one torus solve per component makes
 them 1.  The surviving data (eigenvalues, forest, star pattern, free
 parameters) is a complete orbit invariant; the conjugating witness g is
 returned and checked against the reconstituted pair on every call.
+
+One body serves Q and F_p: it runs the kernels on raw entry values (ints mod
+p or Fractions), and only root finding and scalar inverses depend on the
+field.  F_p with p < n is refused with FieldTooSmallError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .errors import (FieldMismatchError, FieldTooSmallError, ResourceGuardError,
@@ -21,8 +23,7 @@ from .fields import Field, FieldElement
 from .matrices import (
     DEFAULT_GL_GUARD,
     Mat,
-    conjugate,
-    diagonalizer,
+    _eigenbasis,
     eigs_in_field,
     mat_from_np,
     order_gl,
@@ -61,30 +62,18 @@ class MatrixPair:
         return (self.A1, self.A2)
 
 
-def _fp_distinct_roots(A1_np, p):
-    """Distinct roots in F_p of the characteristic polynomial, ascending."""
-    coeffs = [int(c) for c in kernels.charpoly_mod(A1_np, p)]
-    roots = []
-    for a in range(p):
-        acc = 0
-        for c in coeffs:
-            acc = (acc * a + c) % p
-        if acc == 0:
-            roots.append(a)
-    return roots
+def _require_field_size(field: Field, n: int):
+    """F_p with p < n cannot host n distinct eigenvalues."""
+    if not field.is_rationals and field.p < n:
+        raise FieldTooSmallError("F_%d is too small for %d distinct eigenvalues"
+                                 % (field.p, n))
 
 
 def has_simple_spectrum(P: MatrixPair) -> bool:
     """True iff A1 has n distinct eigenvalues in the base field.  For F_p the
     convention p >= n is enforced (fewer field elements cannot host n distinct
     eigenvalues in any useful way)."""
-    field = P.field
-    if not field.is_rationals:
-        if field.p < P.n:
-            raise FieldTooSmallError("F_%d is too small for %d distinct eigenvalues"
-                                     % (field.p, P.n))
-        # n distinct roots of a degree-n polynomial are automatically simple
-        return len(_fp_distinct_roots(P.A1.to_np(), field.p)) == P.n
+    _require_field_size(P.field, P.n)
     eigs = eigs_in_field(P.A1)
     return len(eigs) == P.n and all(m == 1 for _, m in eigs)
 
@@ -134,22 +123,22 @@ class CanonResult:
     g: Mat
 
 
-def _greedy_forest(n: int, nonzero) -> list:
+def _greedy_forest(A2p) -> list:
     """Lexicographic pass: arrows at cross-component nonzero positions."""
+    n = len(A2p)
     uf = _UnionFind(n)
     arrows = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j and nonzero(i, j) and uf.union(i, j):
+            if i != j and A2p[i - 1][j - 1] and uf.union(i, j):
                 arrows.append((i, j))
     return arrows
 
 
-def _torus_scales(graph: Digraph, one, forward, backward) -> list:
-    """Torus solve: the smallest vertex of each component gets scale one, the
-    rest follow the tree constraints d_u * A2p_uv / d_v = 1 along arrows;
-    d_v is forward(d_u, u, v) for an arrow (u, v), else backward(d_u, u, v).
-    Returns [None, d_1, ..., d_n]."""
+def _torus_scales(graph: Digraph, A2p, p) -> list:
+    """Torus solve: the smallest vertex of each component gets scale 1, the
+    rest follow the tree constraints d_u * A2p_uv / d_v = 1 along arrows.
+    Returns [d_1, ..., d_n]."""
     n = graph.n
     adj = {v: [] for v in range(1, n + 1)}
     for a, b in graph.arrows:
@@ -159,107 +148,60 @@ def _torus_scales(graph: Digraph, one, forward, backward) -> list:
     for root in range(1, n + 1):
         if scale[root] is not None:
             continue
-        scale[root] = one
+        scale[root] = 1
         queue = [root]
         while queue:
             u = queue.pop(0)
             for v in sorted(adj[u]):
                 if scale[v] is None:
-                    step = forward if (u, v) in graph.arrows else backward
-                    scale[v] = step(scale[u], u, v)
+                    if (u, v) in graph.arrows:
+                        d = scale[u] * A2p[u - 1][v - 1]
+                    else:
+                        d = scale[u] * kernels.inv_scalar(A2p[v - 1][u - 1], p)
+                    scale[v] = kernels.red(d, p)
                     queue.append(v)
-    return scale
-
-
-def _canonicalize_fp(P: MatrixPair) -> CanonResult:
-    """Array lane of canonicalize: identical algorithm over int64 residues,
-    FieldElement structures built only for the returned data."""
-    field, n, p = P.field, P.n, P.field.p
-    A1 = P.A1.to_np()
-    A2 = P.A2.to_np()
-    roots = _fp_distinct_roots(A1, p)
-    if len(roots) != n:
-        from .errors import NotSimpleSpectrumError
-        raise NotSimpleSpectrumError("first matrix lacks simple spectrum")
-    # rows of g0: canonical nullspace vectors of (A1^T - a I)
-    A1t = A1.T.copy()
-    eye = np.eye(n, dtype=np.int64)
-    g0 = np.zeros((n, n), dtype=np.int64)
-    for r, a in enumerate(roots):
-        R, rk = kernels.rref_mod((A1t - a * eye) % p, p)
-        assert rk == n - 1, "simple eigenvalue must have a line of eigenvectors"
-        pivots = [next(c for c in range(n) if R[i, c] != 0) for i in range(rk)]
-        free = next(c for c in range(n) if c not in pivots)
-        g0[r, free] = 1
-        for i, c in enumerate(pivots):
-            g0[r, c] = (-int(R[i, free])) % p
-    ok, g0inv = kernels.inverse_mod(g0, p)
-    assert ok, "eigenvector rows must be independent"
-    A2p = kernels.matmul_mod(kernels.matmul_mod(g0, A2, p), g0inv, p)
-
-    arrows = _greedy_forest(n, lambda i, j: A2p[i - 1, j - 1] != 0)
-    graph = Digraph(n, arrows)
-    star = star_from_forest(graph)
-
-    scale = _torus_scales(graph, 1,
-                          lambda d, u, v: d * int(A2p[u - 1, v - 1]) % p,
-                          lambda d, u, v: d * pow(int(A2p[v - 1, u - 1]), p - 2, p) % p)
-    inv_scale = [0] + [pow(s, p - 2, p) for s in scale[1:]]
-    A2c = np.array([[scale[i + 1] * int(A2p[i, j]) * inv_scale[j + 1] % p
-                     for j in range(n)] for i in range(n)], dtype=np.int64)
-    g = (np.array(scale[1:], dtype=np.int64)[:, None] * g0) % p
-
-    # witness check without inverses: g X = Y g for both components
-    diag = np.diag(np.array(roots, dtype=np.int64))
-    if not ((kernels.matmul_mod(g, A1, p) == kernels.matmul_mod(diag, g, p)).all()
-            and (kernels.matmul_mod(g, A2, p) == kernels.matmul_mod(A2c, g, p)).all()):
-        raise VerificationError("witness fails to transform")
-
-    eigs = tuple(field.elem(a) for a in roots)
-    params = tuple(((i, j), field.elem(int(A2c[i - 1, j - 1])))
-                   for i, j in star.star_positions())
-    canon = CanonicalPair(n, field, eigs, graph, star, params)
-    recon = canon.reconstituted()
-    if not matches(star, recon.A2):
-        raise VerificationError("pattern violated by canonical output")
-    if not (recon.A2.to_np() == A2c).all():
-        raise VerificationError("reconstituted pair differs from the reduced A2")
-    return CanonResult(canon, mat_from_np(field, g))
+    return scale[1:]
 
 
 def canonicalize(P: MatrixPair) -> CanonResult:
     """Reduce P to its canonical pair; conjugate(result.g, P) equals the
     reconstituted canonical pair exactly (checked per call: a failure raises
-    VerificationError)."""
-    if not P.field.is_rationals:
-        return _canonicalize_fp(P)
-    field, n = P.field, P.n
-    g0, eigs = diagonalizer(P.A1)   # raises NotSimpleSpectrumError
-    A2p = conjugate(g0, P.A2)
+    VerificationError).  The work runs on raw entry values through the
+    kernels; FieldElements are made only for the returned data."""
+    field, n, p = P.field, P.n, P.field.p
+    _require_field_size(field, n)
+    A1, A2 = P.A1.values(), P.A2.values()
+    g0, roots = _eigenbasis(A1, field)   # raises NotSimpleSpectrumError
+    g0inv = kernels.inverse_mod(g0, p)
+    if g0inv is None:
+        raise VerificationError("eigenvector rows must be independent")
+    A2p = kernels.matmul_mod(kernels.matmul_mod(g0, A2, p), g0inv, p)
 
     # greedy forest: cross-component nonzero positions in lex order become 1
-    arrows = _greedy_forest(n, lambda i, j: not A2p[i - 1, j - 1].is_zero())
-    graph = Digraph(n, arrows)
+    graph = Digraph(n, _greedy_forest(A2p))
     star = star_from_forest(graph)
-
-    scale = _torus_scales(graph, field.one,
-                          lambda d, u, v: d * A2p[u - 1, v - 1],
-                          lambda d, u, v: d / A2p[v - 1, u - 1])
-    d = Mat.diag(field, scale[1:])
-    A2c = Mat(field, [[scale[i + 1] * A2p[i, j] / scale[j + 1] for j in range(n)]
-                      for i in range(n)])
-
-    params = tuple(((i, j), A2c[i - 1, j - 1]) for i, j in star.star_positions())
-    canon = CanonicalPair(n, field, tuple(eigs), graph, star, params)
-    g = d @ g0
+    scale = _torus_scales(graph, A2p, p)
+    inv_scale = [kernels.inv_scalar(s, p) for s in scale]
+    A2c = [[kernels.red(s * x * t, p) for x, t in zip(row, inv_scale)]
+           for s, row in zip(scale, A2p)]
+    g = [[kernels.red(s * x, p) for x in row] for s, row in zip(scale, g0)]
 
     # witness check without inverses: g X = Y g for both components
-    recon = canon.reconstituted()
-    if not (g @ P.A1 == recon.A1 @ g and g @ P.A2 == recon.A2 @ g):
+    D = [[a if i == j else 0 for j in range(n)] for i, a in enumerate(roots)]
+    if not (kernels.matmul_mod(g, A1, p) == kernels.matmul_mod(D, g, p)
+            and kernels.matmul_mod(g, A2, p) == kernels.matmul_mod(A2c, g, p)):
         raise VerificationError("witness fails to transform")
+
+    eigs = tuple(field.elem(a) for a in roots)
+    params = tuple(((i, j), field.elem(A2c[i - 1][j - 1]))
+                   for i, j in star.star_positions())
+    canon = CanonicalPair(n, field, eigs, graph, star, params)
+    recon = canon.reconstituted()
     if not matches(star, recon.A2):
         raise VerificationError("pattern violated by canonical output")
-    return CanonResult(canon, g)
+    if recon.A2.values() != A2c:
+        raise VerificationError("reconstituted pair differs from the reduced A2")
+    return CanonResult(canon, Mat(field, g))
 
 
 def orbit_eq_canonical(P: MatrixPair, Q: MatrixPair) -> bool:

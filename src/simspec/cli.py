@@ -4,8 +4,7 @@ Subcommands: canonicalize, orbit-eq, type-eq, forests, staircase, verify,
 probes.  All output is JSON on stdout.  Exit codes: 0 success/equal,
 1 separated/unequal, 2 input error, 3 internal verification failure.
 
-SIMSPEC_FIELD supplies the field for pair files that omit one ("Q" or "F7");
-SIMSPEC_PURE_NUMPY=1 switches the mod-p kernels to the numpy lane.
+SIMSPEC_FIELD supplies the field for pair files that omit one ("Q" or "F7").
 """
 
 from __future__ import annotations

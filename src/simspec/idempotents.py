@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import VerificationError
 from .ncpoly import NcPoly
 
 
@@ -56,7 +57,8 @@ def idempotent_poly(a, t: int) -> NcPoly:
     if not 1 <= t <= len(a):
         raise ValueError("t out of range")
     poly = _idempotent_cached(a, t)
-    assert poly.formal_degree < len(a)
+    if poly.formal_degree >= len(a):
+        raise VerificationError("idempotent degree bound")
     return poly
 
 
@@ -92,5 +94,6 @@ def entry_probe_poly(a, i: int, j: int) -> EntryProbe:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("entry position out of range")
     poly = _entry_probe_cached(a, i, j)
-    assert poly.formal_degree <= 2 * n - 1
+    if poly.formal_degree > 2 * n - 1:
+        raise VerificationError("entry probe degree bound")
     return poly

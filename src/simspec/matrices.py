@@ -1,14 +1,18 @@
 """Exact dense matrices over Q or F_p and the linear algebra on them.
 
-Generic (FieldElement) implementations work over any field and are the
-reference path; square F_p inputs are routed through the int64 kernels in
-:mod:`simspec.kernels`.  First-nonzero pivoting everywhere, so results are
-deterministic.
+A Mat holds FieldElements; products, rank, det, inverse, nullspaces and
+characteristic polynomials run the one implementation of each op in
+:mod:`simspec.kernels` on the raw entry values (ints mod p or Fractions) and
+wrap the result.  First-nonzero pivoting everywhere, so results are
+deterministic.  Eigenvalues in F_p come from a scan of the residues, bounded
+by MAX_ROOT_SCAN.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -18,10 +22,12 @@ from .errors import (
     NotSimpleSpectrumError,
     ResourceGuardError,
     SingularMatrixError,
+    VerificationError,
 )
 from .fields import Field, FieldElement, PrimeField, is_prime
 
 DEFAULT_GL_GUARD = 20_000_000
+MAX_ROOT_SCAN = 1 << 20
 
 
 class Mat:
@@ -127,13 +133,8 @@ class Mat:
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        if not self.field.is_rationals and self.nrows == self.ncols == other.ncols:
-            out = kernels.matmul_mod(self.to_np(), other.to_np(), self.field.p)
-            return mat_from_np(self.field, out)
-        cols = other.transpose().rows
-        zero = self.field.zero
-        return Mat(self.field, [[sum((a * b for a, b in zip(row, col)), zero)
-                                 for col in cols] for row in self.rows])
+        return Mat(self.field, kernels.matmul_mod(self.values(), other.values(),
+                                                  self.field.p))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -150,10 +151,15 @@ class Mat:
         body = "; ".join(" ".join(repr(e) for e in row) for row in self.rows)
         return "Mat(%r, [%s])" % (self.field, body)
 
+    def values(self) -> list:
+        """Rows of raw entry values: residues mod p, or Fractions over Q."""
+        return [[e.value for e in row] for row in self.rows]
+
     def to_np(self) -> np.ndarray:
-        """int64 residue array; prime fields only.  The kernels sum up to
-        max(nrows, ncols) products of residues in int64, so a modulus whose
-        sums could overflow is refused rather than answered wrongly."""
+        """int64 residue array; prime fields only.  The vectorized kernels
+        sum up to max(nrows, ncols) products of residues in int64, so a
+        modulus whose sums could overflow is refused rather than answered
+        wrongly."""
         if self.field.is_rationals:
             raise TypeError("no int64 form for rational matrices")
         if self._np_cache is None:
@@ -172,144 +178,55 @@ def mat_from_np(field, arr) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# elimination (generic reference path)
+# linear algebra: the kernels on raw entry values
 # ---------------------------------------------------------------------------
-
-def _rref_generic(rows):
-    """Reduced row echelon form of a list-of-lists copy; returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    piv = 0
-    for col in range(ncols):
-        if piv == nrows:
-            break
-        sel = next((r for r in range(piv, nrows) if not rows[r][col].is_zero()), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        inv = rows[piv][col].inverse()
-        rows[piv] = [x * inv for x in rows[piv]]
-        for r in range(nrows):
-            if r != piv and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
-        pivots.append(col)
-        piv += 1
-    return rows, pivots
-
 
 def rank(M: Mat) -> int:
     """Row rank by exact Gaussian elimination."""
-    if not M.field.is_rationals:
-        return int(kernels.rank_mod(M.to_np(), M.field.p))
-    return len(_rref_generic(M.rows)[1])
+    return kernels.rank_mod(M.values(), M.field.p)
 
 
 def det(M: Mat) -> FieldElement:
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
-    if not M.field.is_rationals:
-        return M.field.elem(int(kernels.det_mod(M.to_np(), M.field.p)))
-    rows = [list(r) for r in M.rows]
-    n = M.n
-    d = M.field.one
-    for col in range(n):
-        sel = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if sel is None:
-            return M.field.zero
-        if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
-            d = -d
-        d = d * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            if not rows[r][col].is_zero():
-                f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return d
+    return M.field.elem(kernels.det_mod(M.values(), M.field.p))
 
 
 def inverse(M: Mat) -> Mat:
     if not M.is_square():
         raise ValueError("inverse of non-square matrix")
-    if not M.field.is_rationals:
-        ok, inv = kernels.inverse_mod(M.to_np(), M.field.p)
-        if not ok:
-            raise SingularMatrixError("matrix is singular over %r" % (M.field,))
-        return mat_from_np(M.field, inv)
-    n = M.n
-    ident = Mat.identity(M.field, n)
-    aug = [list(r) + list(i) for r, i in zip(M.rows, ident.rows)]
-    red, pivots = _rref_generic(aug)
-    if pivots != list(range(n)):
+    inv = kernels.inverse_mod(M.values(), M.field.p)
+    if inv is None:
         raise SingularMatrixError("matrix is singular over %r" % (M.field,))
-    return Mat(M.field, [row[n:] for row in red])
+    return Mat(M.field, inv)
+
+
+def _nullspace(A, p) -> list:
+    """Canonical RREF basis of the right nullspace of raw rows A."""
+    R, pivots = kernels.rref_mod(A, p)
+    basis = []
+    for f in range(len(A[0])):
+        if f in pivots:
+            continue
+        v = [0] * len(A[0])
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = kernels.red(-R[r][f], p)
+        basis.append(v)
+    return basis
 
 
 def nullspace_basis(M: Mat) -> list[tuple[FieldElement, ...]]:
     """Canonical RREF basis of the right nullspace, as row tuples."""
-    if not M.field.is_rationals:
-        R, rk = kernels.rref_mod(M.to_np(), M.field.p)
-        red = [[M.field.elem(int(v)) for v in row] for row in R[:rk]]
-        pivots = []
-        for row in red:
-            col = next(c for c, v in enumerate(row) if not v.is_zero())
-            pivots.append(col)
-    else:
-        red, pivots = _rref_generic(M.rows)
-        red = red[: len(pivots)]
-    ncols = M.ncols
-    free = [c for c in range(ncols) if c not in pivots]
-    zero, one = M.field.zero, M.field.one
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(M.field.elem(x) for x in v)
+            for v in _nullspace(M.values(), M.field.p)]
 
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial and friends
-# ---------------------------------------------------------------------------
 
 def charpoly(M: Mat) -> tuple[FieldElement, ...]:
-    """Coefficients (1, c1, ..., cn) of det(xI - M), by the division-free
-    Berkowitz recursion (valid in every characteristic)."""
+    """Coefficients (1, c1, ..., cn) of det(xI - M)."""
     if not M.is_square():
         raise ValueError("charpoly of non-square matrix")
-    field = M.field
-    if not field.is_rationals:
-        coeffs = kernels.charpoly_mod(M.to_np(), field.p)
-        return tuple(field.elem(int(c)) for c in coeffs)
-    n = M.n
-    A = M.rows
-    poly = [field.one]
-    for k in range(1, n + 1):
-        top = n - k
-        a = A[top][top]
-        diags = [field.one, -a]
-        if k > 1:
-            R = A[top][top + 1:]
-            vec = [A[r][top] for r in range(top + 1, n)]
-            sub = [row[top + 1:] for row in A[top + 1:]]
-            for i in range(2, k + 1):
-                diags.append(-sum((r * v for r, v in zip(R, vec)), field.zero))
-                if i < k:
-                    vec = [sum((sub[r][c] * vec[c] for c in range(k - 1)), field.zero)
-                           for r in range(k - 1)]
-        out = []
-        for i in range(k + 1):
-            s = field.zero
-            for j, pj in enumerate(poly):
-                if 0 <= i - j <= k:
-                    s = s + diags[i - j] * pj
-            out.append(s)
-        poly = out
-    return tuple(poly)
+    return tuple(M.field.elem(c) for c in kernels.charpoly_mod(M.values(), M.field.p))
 
 
 def sigma(M: Mat, t: int) -> FieldElement:
@@ -322,19 +239,18 @@ def sigma(M: Mat, t: int) -> FieldElement:
     return -c if t % 2 else c
 
 
-def _poly_eval(coeffs, x: FieldElement) -> FieldElement:
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs, root: FieldElement):
-    """Synthetic division by (x - root); returns (quotient, remainder)."""
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + root * out[-1])
-    return out[:-1], out[-1]
+def _divide_out(coeffs, root, p):
+    """(multiplicity of root, quotient by its factors) for a polynomial with
+    raw coefficients, leading first, by repeated synthetic division."""
+    mult = 0
+    while len(coeffs) > 1:
+        out = [coeffs[0]]
+        for c in coeffs[1:]:
+            out.append(kernels.red(c + root * out[-1], p))
+        if out[-1]:
+            break
+        coeffs, mult = out[:-1], mult + 1
+    return mult, coeffs
 
 
 def _divisors(m: int) -> list[int]:
@@ -350,90 +266,87 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def _rational_roots(coeffs):
-    """Roots in Q of a monic FieldElement polynomial, with multiplicities."""
-    from fractions import Fraction
-    from math import lcm
+def _rational_roots(coeffs) -> list:
+    """Roots in Q of a monic polynomial with Fraction coefficients, with
+    multiplicities, ascending."""
+    mult0, poly = _divide_out(coeffs, 0, None)
+    found = [(Fraction(0), mult0)] if mult0 else []
+    if len(poly) > 1:
+        scale = lcm(*[c.denominator for c in poly])
+        ints = [int(c * scale) for c in poly]
+        candidates = {Fraction(sign * r, s) for r in _divisors(ints[-1])
+                      for s in _divisors(ints[0]) for sign in (1, -1)}
+        for cand in sorted(candidates):
+            mult, poly = _divide_out(poly, cand, None)
+            if mult:
+                found.append((cand, mult))
+    return sorted(found)
 
-    field = coeffs[0].field
-    poly = list(coeffs)
-    found = []
-    # zero roots first
-    mult0 = 0
-    while len(poly) > 1 and poly[-1].is_zero():
-        poly = poly[:-1]
-        mult0 += 1
-    if mult0:
-        found.append((field.zero, mult0))
-    if len(poly) == 1:
-        return found
-    scale = lcm(*[c.value.denominator for c in poly])
-    ints = [int(c.value * scale) for c in poly]
-    candidates = set()
-    for r in _divisors(ints[-1]):
-        for s in _divisors(ints[0]):
-            candidates.add(Fraction(r, s))
-            candidates.add(Fraction(-r, s))
-    for cand in sorted(candidates):
-        root = field.elem(cand)
-        mult = 0
-        while len(poly) > 1:
-            quot, rem = _poly_deflate(poly, root)
-            if not rem.is_zero():
-                break
-            poly = quot
-            mult += 1
-        if mult:
-            found.append((root, mult))
+
+def _fp_roots(coeffs, p: int) -> list:
+    """Roots in F_p of a monic polynomial with residue coefficients, with
+    multiplicities, ascending: a scan of the residues, which stops once the
+    polynomial is split.  Refused above MAX_ROOT_SCAN, where a scan would
+    take more than about a second."""
+    if p > MAX_ROOT_SCAN:
+        raise ResourceGuardError(
+            "F_%d is too large for the root scan (limit %d)" % (p, MAX_ROOT_SCAN))
+    poly, found = coeffs, []
+    for a in range(p):
+        if len(poly) == 1:
+            break
+        acc = 0
+        for c in poly:
+            acc = (acc * a + c) % p
+        if acc == 0:
+            mult, poly = _divide_out(poly, a, p)
+            found.append((a, mult))
     return found
+
+
+def _roots(coeffs, p) -> list:
+    return _rational_roots(coeffs) if p is None else _fp_roots(coeffs, p)
 
 
 def eigs_in_field(M: Mat) -> list[tuple[FieldElement, int]]:
     """All roots of the characteristic polynomial lying in the base field,
     with multiplicities, sorted by the field order."""
-    coeffs = charpoly(M)
-    field = M.field
-    if field.is_rationals:
-        found = _rational_roots(coeffs)
-    else:
-        found = []
-        for cand in field.elements():
-            if _poly_eval(coeffs, cand).is_zero():
-                mult = 0
-                poly = list(coeffs)
-                while len(poly) > 1:
-                    quot, rem = _poly_deflate(poly, cand)
-                    if not rem.is_zero():
-                        break
-                    poly = quot
-                    mult += 1
-                found.append((cand, mult))
-    found.sort(key=lambda pair: pair[0].value)
-    return found
+    coeffs = [c.value for c in charpoly(M)]
+    return [(M.field.elem(r), m) for r, m in _roots(coeffs, M.field.p)]
 
 
 # ---------------------------------------------------------------------------
 # diagonalization and conjugation
 # ---------------------------------------------------------------------------
 
+def _eigenbasis(A, field: Field):
+    """(g, eigenvalues) on raw rows: the eigenvalues of A ascending, and as
+    rows of g the canonical nullspace vectors of A^T - a I.  Raises
+    NotSimpleSpectrumError unless A has n distinct eigenvalues in field."""
+    n, p = len(A), field.p
+    # n roots of a degree-n polynomial are all simple
+    roots = [a for a, _ in _roots(kernels.charpoly_mod(A, p), p)]
+    if len(roots) != n:
+        raise NotSimpleSpectrumError(
+            "matrix does not have %d distinct eigenvalues in %r" % (n, field))
+    g = []
+    for a in roots:
+        shifted = [[kernels.red(x - a, p) if i == j else x for i, x in enumerate(col)]
+                   for j, col in enumerate(zip(*A))]
+        basis = _nullspace(shifted, p)
+        if len(basis) != 1:
+            raise VerificationError("a simple eigenvalue has a line of eigenvectors")
+        g.append(basis[0])
+    return g, roots
+
+
 def diagonalizer(A1: Mat) -> tuple[Mat, list[FieldElement]]:
     """g with g A1 g^-1 = diag(a1 < ... < an); rows of g are the canonical
     nullspace vectors of (A1^T - a I)."""
-    n = A1.n
-    eigs = eigs_in_field(A1)
-    if len(eigs) != n or any(m != 1 for _, m in eigs):
-        raise NotSimpleSpectrumError(
-            "matrix does not have %d distinct eigenvalues in %r" % (n, A1.field))
-    At = A1.transpose()
-    ident = Mat.identity(A1.field, n)
-    rows = []
-    for a, _ in eigs:
-        basis = nullspace_basis(At - ident * a)
-        if len(basis) != 1:
-            raise NotSimpleSpectrumError("eigenspace dimension > 1")
-        rows.append(basis[0])
-    g = Mat(A1.field, rows)
-    return g, [a for a, _ in eigs]
+    if not A1.is_square():
+        raise ValueError("matrix is not square")
+    g, roots = _eigenbasis(A1.values(), A1.field)
+    return Mat(A1.field, g), [A1.field.elem(a) for a in roots]
 
 
 def conjugate(g: Mat, target):
@@ -468,7 +381,7 @@ def enumerate_GL(n: int, p: int, max_order: int = DEFAULT_GL_GUARD):
             "GL_%d(F_%d) has order %d; raise max_order to enumerate" % (n, p, order_gl(n, p)))
     field = PrimeField(p)
     for entries in itertools.product(range(p), repeat=n * n):
-        arr = np.array(entries, dtype=np.int64).reshape(n, n)
-        if kernels.det_mod(arr, p) != 0:
-            yield mat_from_np(field, arr)
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if kernels.det_mod(rows, p):
+            yield Mat(field, rows)
 

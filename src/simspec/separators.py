@@ -29,11 +29,12 @@ from math import prod
 from .canonical import (
     CanonicalPair,
     MatrixPair,
+    _check_comparable,
     canonicalize,
     find_conjugator,
     orbit_eq_canonical,
 )
-from .errors import FieldTooSmallError, VerificationError
+from .errors import VerificationError
 from .fields import QQ, Field, FieldElement, PrimeField
 from .idempotents import EntryProbe, entry_probe_poly
 from .matrices import Mat, det, rank, sigma
@@ -137,11 +138,10 @@ class InvariantProbe:
     expected: int | None = None      # rank probes: value on the defining pair
 
     def __post_init__(self):
-        if self.kind == "zeta":
-            assert self.degree <= 2 * self.n - 1, "zeta probe degree bound"
-        elif self.kind == "rank":
-            assert self.degree <= (self.n + 1) * (2 * self.n - 1), \
-                "rank probe degree bound"
+        if self.kind == "zeta" and self.degree > 2 * self.n - 1:
+            raise VerificationError("zeta probe degree bound")
+        if self.kind == "rank" and self.degree > (self.n + 1) * (2 * self.n - 1):
+            raise VerificationError("rank probe degree bound")
 
     @property
     def degree(self) -> int:
@@ -206,15 +206,6 @@ def _equal_report(count: int) -> SeparationReport:
     return SeparationReport(True, None, None, None, count)
 
 
-def _require_admissible(P: MatrixPair, Q: MatrixPair):
-    from .canonical import _check_comparable
-    _check_comparable(P, Q)
-    field = P.field
-    if not field.is_rationals and field.p < P.n:
-        raise FieldTooSmallError("F_%d is too small for %d distinct eigenvalues"
-                                 % (field.p, P.n))
-
-
 def sigma_probe(n: int, t: int) -> InvariantProbe:
     return InvariantProbe("sigma[%d]" % t, "sigma", n, t=t)
 
@@ -237,8 +228,9 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
 def _type_separation(P: MatrixPair, Q: MatrixPair):
     """type_separation's report, with P's canonical pair and both pairs'
     evaluators, so that a caller need not canonicalize again.  canonicalize
-    raises NotSimpleSpectrumError for a pair without simple spectrum."""
-    _require_admissible(P, Q)
+    raises FieldTooSmallError for F_p with p < n and NotSimpleSpectrumError
+    for a pair without simple spectrum."""
+    _check_comparable(P, Q)
     n = P.n
     CP = canonicalize(P).canon
     CQ = canonicalize(Q).canon
@@ -287,7 +279,8 @@ def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
         return InvariantProbe("param(%d,%d)" % (i, j), "rank", n,
                               poly=expr, expected=expected)
     path = undirected_path(C.type_graph, i, j)
-    assert path is not None, "a * cell always has a connecting path"
+    if path is None:
+        raise VerificationError("a * cell always has a connecting path")
     idx, flags = path.vertices, path.flags
     S = ThreeDiagSeq(idx, flags, n)
     cert = staircase_cert(S)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import VerificationError
 from .fields import QQ, Field
 from .matrices import Mat, rank
 from .ncpoly import Word, eval_word, is_multilinear, word_text
@@ -196,39 +197,44 @@ def _single_entry_pos(M: Mat):
     return pos
 
 
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise VerificationError(what)
+
+
 def _verify_outcome(S: ThreeDiagSeq, out) -> None:
     mats = td_matrices(S, QQ)
     corner = Mat.unit(QQ, S.n, S.idx[0], S.idx[-1])
     sandwich = eval_word(out.u1, mats) @ corner @ eval_word(out.u2, mats)
     if isinstance(out, SingleWordOutcome):
         val = eval_word(out.w, mats)
-        assert val == sandwich, "sandwich does not match the certifying word"
-        assert _single_entry_pos(val) is not None, "word value is not elementary"
-        assert is_multilinear(out.u1 + out.u2 + out.w)
+        _check(val == sandwich, "sandwich does not match the certifying word")
+        _check(_single_entry_pos(val) is not None, "word value is not elementary")
+        _check(is_multilinear(out.u1 + out.u2 + out.w), "words are not multilinear")
         return
     r = len(out.ws)
-    assert r >= 3 and r % 2 == 1, "staircase length must be odd and >= 3"
+    _check(r >= 3 and r % 2 == 1, "staircase length must be odd and >= 3")
     vals = [eval_word(w, mats) for w in out.ws]
     chain = []
     for l, val in enumerate(vals, start=1):
         pos = _single_entry_pos(val)
-        assert pos is not None, "staircase member is not elementary"
+        _check(pos is not None, "staircase member is not elementary")
         a, b = pos
         if l == 1:
             chain = [a, b]
         elif l % 2 == 0:
-            assert b == chain[-1], "staircase chain breaks at step %d" % l
+            _check(b == chain[-1], "staircase chain breaks at step %d" % l)
             chain.append(a)
         else:
-            assert a == chain[-1], "staircase chain breaks at step %d" % l
+            _check(a == chain[-1], "staircase chain breaks at step %d" % l)
             chain.append(b)
-    assert len(set(chain)) == len(chain), "staircase indices repeat"
-    assert sandwich == Mat.unit(QQ, S.n, chain[0], chain[-1]), \
-        "foundation does not match the staircase corner"
+    _check(len(set(chain)) == len(chain), "staircase indices repeat")
+    _check(sandwich == Mat.unit(QQ, S.n, chain[0], chain[-1]),
+           "foundation does not match the staircase corner")
     flat = out.u1 + out.u2
     for w in out.ws:
         flat += w
-    assert is_multilinear(flat)
+    _check(is_multilinear(flat), "words are not multilinear")
 
 
 def reduce_mixed(S: ThreeDiagSeq):
@@ -284,7 +290,7 @@ def _cert_for_pattern(delta: tuple) -> StaircaseCert:
     if all(d == REV for d in S.delta):
         u1, u2 = reduce_all_reversed(S)
         cert = StaircaseCert(((1,),), u1, u2)
-        assert len(u1) + len(u2) == S.k + 1
+        _check(len(u1) + len(u2) == S.k + 1, "all-REV words have the wrong degree")
     else:
         out = reduce_mixed(S)
         if isinstance(out, SingleWordOutcome):
@@ -294,8 +300,8 @@ def _cert_for_pattern(delta: tuple) -> StaircaseCert:
         flat = cert.u1 + cert.u2
         for w in cert.ws:
             flat += w
-        assert is_multilinear(flat)
-    assert _check_degrees(S, cert)
+        _check(is_multilinear(flat), "words are not multilinear")
+    _check(_check_degrees(S, cert), "certificate exceeds its degree bounds")
     return cert
 
 

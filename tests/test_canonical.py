@@ -22,6 +22,7 @@ from simspec.canonical import (
     orbit_eq_canonical,
 )
 from simspec.sampling import random_invertible, random_simple_spectrum_pair
+from simspec.separators import orbit_eq_by_ranks
 from simspec.stargraph import Digraph, matches
 
 
@@ -39,6 +40,16 @@ def test_field_size_guard():
     P = MatrixPair(Mat.diag(F3, [0, 1, 2, 0]), Mat.zeros(F3, 4))
     with pytest.raises(FieldTooSmallError):
         has_simple_spectrum(P)
+
+
+def test_field_too_small_is_one_error_everywhere():
+    F2 = PrimeField(2)
+    P = MatrixPair(Mat.identity(F2, 3), Mat.identity(F2, 3))
+    for op in (lambda: canonicalize(P), lambda: orbit_eq_canonical(P, P),
+               lambda: has_simple_spectrum(P), lambda: orbit_eq_by_ranks(P, P)):
+        with pytest.raises(FieldTooSmallError,
+                           match="F_2 is too small for 3 distinct eigenvalues"):
+            op()
 
 
 def test_pair_validation():
@@ -183,27 +194,27 @@ def test_canonical_pair_structural_equality(rng):
     assert c1 == c2 and hash(c1) == hash(c2)
 
 
-# Each script breaks one step of canonicalize, so that the witness it returns
-# is wrong, and runs under python -O, where assert statements are dropped.
+# Each script breaks one step of canonicalize's one body, so that the witness
+# it returns is wrong, and runs under python -O, where assert statements are
+# dropped: the Q script swaps two eigenvector rows, the F_p script puts an
+# off-by-one entry into the inverse of the eigenvector matrix.
 _BREAK_Q = """
 import simspec.canonical as canonical
-real = canonical.diagonalizer
-def swapped(A1):
-    g0, eigs = real(A1)
-    rows = list(g0.rows)
-    rows[0], rows[1] = rows[1], rows[0]
-    return canonical.Mat(g0.field, rows), eigs
-canonical.diagonalizer = swapped
+real = canonical._eigenbasis
+def swapped(A, field):
+    g0, roots = real(A, field)
+    g0[0], g0[1] = g0[1], g0[0]
+    return g0, roots
+canonical._eigenbasis = swapped
 """
 
 _BREAK_FP = """
 from simspec import kernels
 real = kernels.inverse_mod
 def off_by_one(A, p):
-    ok, inv = real(A, p)
-    inv = inv.copy()
-    inv[0, 0] = (inv[0, 0] + 1) % p
-    return ok, inv
+    inv = real(A, p)
+    inv[0][0] = (inv[0][0] + 1) % p
+    return inv
 kernels.inverse_mod = off_by_one
 """
 

@@ -1,71 +1,167 @@
-"""Cross-checks between the kernel lanes and the generic reference path."""
+"""The small matrix ops of simspec.kernels against independent oracles, over
+Q and F_p, and the two lanes of the GL_n(F_p) search."""
+
+import itertools
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from simspec import kernels
-from simspec.fields import PrimeField
-from simspec.matrices import Mat, _rref_generic, charpoly, det, inverse, order_gl
+from simspec.matrices import order_gl
 
 LANES = [("numpy", kernels.IMPLS["numpy"])]
 if kernels.IMPLS["numba"] is not None:
     LANES.append(("numba", kernels.IMPLS["numba"]))
 
-
-def _rand_mat(rng, n, p):
-    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
-                    dtype=np.int64)
+FIELDS = [None, 2, 3, 7, 11]      # None is Q
 
 
-@pytest.mark.parametrize("lane_name,lane", LANES)
-def test_matmul_against_generic(lane_name, lane, rng):
+def _rand(rng, nrows, ncols, p, zeros=0.0):
+    def scalar():
+        if rng.random() < zeros:
+            return 0 if p else Fraction(0)
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _red(x, p):
+    return Fraction(x) if p is None else x % p
+
+
+def _exact(rows, p):
+    """Q results are Fractions (an int pivot must not turn into a float),
+    F_p results are reduced ints."""
+    for x in itertools.chain.from_iterable(rows):
+        assert type(x) is Fraction if p is None else (type(x) is int and 0 <= x < p)
+    return True
+
+
+def _product(A, B, p):
+    return [[_red(sum(A[i][l] * B[l][j] for l in range(len(B))), p)
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def _leibniz(A, p):
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(A[i][perm[i]] for i in range(n))
+    return _red(total, p)
+
+
+def _rank_by_minors(A, p):
+    """Largest k with a nonzero k x k minor."""
+    rows, cols = range(len(A)), range(len(A[0]))
+    for k in range(min(len(A), len(A[0])), 0, -1):
+        for rs in itertools.combinations(rows, k):
+            for cs in itertools.combinations(cols, k):
+                if _leibniz([[A[r][c] for c in cs] for r in rs], p):
+                    return k
+    return 0
+
+
+def _rank_by_kernel_count(A, p):
+    """ncols - log_p of the number of x in F_p^ncols with A x = 0."""
+    ncols = len(A[0])
+    count = sum(all(sum(a * x for a, x in zip(row, xs)) % p == 0 for row in A)
+                for xs in itertools.product(range(p), repeat=ncols))
+    return ncols - round(np.log(count) / np.log(p))
+
+
+def test_matmul_against_entry_sums(rng):
+    for p in FIELDS:
+        for n, k, m in ((1, 1, 1), (2, 3, 1), (3, 2, 5), (4, 4, 4), (5, 5, 5)):
+            A, B = _rand(rng, n, k, p), _rand(rng, k, m, p)
+            got = kernels.matmul_mod(A, B, p)
+            assert got == _product(A, B, p) and _exact(got, p)
+    # Q products of integer matrices reduce to the F_p products
     for p in (3, 7):
-        F = PrimeField(p)
-        for n in (1, 2, 4):
-            A, B = _rand_mat(rng, n, p), _rand_mat(rng, n, p)
-            want = np.array([[e.value for e in row] for row in
-                             (Mat(F, A.tolist()).__matmul__(Mat(F, B.tolist()))).rows])
-            got = lane["matmul"](A, B, p)
-            assert (got == want).all()
+        A = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(4)]
+        B = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(4)]
+        over_q = kernels.matmul_mod([[Fraction(x) for x in r] for r in A],
+                                    [[Fraction(x) for x in r] for r in B], None)
+        mod_p = kernels.matmul_mod([[x % p for x in r] for r in A],
+                                   [[x % p for x in r] for r in B], p)
+        assert [[int(x) % p for x in r] for r in over_q] == mod_p
 
 
-@pytest.mark.parametrize("lane_name,lane", LANES)
-def test_rank_det_inverse_against_generic(lane_name, lane, rng):
+def test_rank_det_inverse_against_oracles(rng):
+    for p in FIELDS:
+        for _ in range(25):
+            n = rng.choice([1, 2, 3, 4])
+            A = _rand(rng, n, n, p, zeros=0.4)
+            d = kernels.det_mod(A, p)
+            assert d == _leibniz(A, p) and _exact([[d]], p)
+            rk = kernels.rank_mod(A, p)
+            assert rk == _rank_by_minors(A, p)
+            if p in (2, 3):
+                assert rk == _rank_by_kernel_count(A, p)
+            R, pivots = kernels.rref_mod(A, p)
+            assert len(pivots) == rk and _exact(R, p)
+            assert all(R[r][c] == (1 if r == i else 0)
+                       for i, c in enumerate(pivots) for r in range(n))
+            assert all(x == 0 for row in R[rk:] for x in row)
+            inv = kernels.inverse_mod(A, p)
+            assert (inv is None) == (d == 0)
+            if inv is not None:
+                ident = [[_red(int(i == j), p) for j in range(n)] for i in range(n)]
+                assert _exact(inv, p)
+                assert _product(A, inv, p) == ident == _product(inv, A, p)
+        # non-square rank
+        A = _rand(rng, 2, 4, p, zeros=0.3)
+        assert kernels.rank_mod(A, p) == _rank_by_minors(A, p)
+    # the inverse of an integer identity starts from Fraction(1), not 1 / 1
+    inv = kernels.inverse_mod([[1, 0], [0, 1]], None)
+    assert inv == [[1, 0], [0, 1]] and _exact(inv, None)
+    # Q determinants of integer matrices reduce to the F_p determinants
     for p in (2, 5, 11):
-        F = PrimeField(p)
-        for _ in range(30):
-            n = rng.choice([1, 2, 3, 4, 5])
-            A = _rand_mat(rng, n, p)
-            M = Mat(F, A.tolist())
-            assert lane["rank"](A, p) == len(_rref_generic(M.rows)[1])
-            assert lane["det"](A, p) == det(M).value
-            ok, inv = lane["inverse"](A, p)
-            assert ok == (det(M).value != 0)
-            if ok:
-                assert (lane["matmul"](A, inv, p) == np.eye(n, dtype=np.int64)).all()
+        A = [[rng.randint(-30, 30) for _ in range(4)] for _ in range(4)]
+        over_q = kernels.det_mod([[Fraction(x) for x in r] for r in A], None)
+        assert over_q.denominator == 1
+        assert int(over_q) % p == kernels.det_mod([[x % p for x in r] for r in A], p)
 
 
-@pytest.mark.parametrize("lane_name,lane", LANES)
-def test_charpoly_against_generic(lane_name, lane, rng):
-    for p in (3, 7, 11):
-        F = PrimeField(p)
+def test_charpoly_against_oracles(rng):
+    for p in FIELDS:
         for _ in range(20):
             n = rng.choice([1, 2, 3, 4, 5])
-            A = _rand_mat(rng, n, p)
-            got = [int(c) for c in lane["charpoly"](A, p)]
-            # reference: generic Berkowitz over FieldElements
-            want = [c.value for c in charpoly(Mat(F, A.tolist()))]
-            assert got == want
+            A = _rand(rng, n, n, p, zeros=0.3)
+            c = kernels.charpoly_mod(A, p)
+            assert len(c) == n + 1 and c[0] == 1 and _exact([c], p)
+            # Cayley-Hamilton: sum_k c_k A^(n-k) = 0
+            acc = [[_red(0, p)] * n for _ in range(n)]
+            power = [[_red(int(i == j), p) for j in range(n)] for i in range(n)]
+            for ck in reversed(c):
+                acc = [[_red(x + ck * y, p) for x, y in zip(ra, rp)]
+                       for ra, rp in zip(acc, power)]
+                power = _product(power, A, p)
+            assert all(x == 0 for row in acc for x in row)
+            # det(tI - A) by Leibniz at n + 1 points (fewer over a small F_p)
+            if n <= 4:
+                for t in range(n + 1 if p is None else min(p, n + 1)):
+                    shifted = [[_red((t if i == j else 0) - x, p) for j, x in enumerate(row)]
+                               for i, row in enumerate(A)]
+                    assert _red(sum(ck * t ** (n - k) for k, ck in enumerate(c)), p) \
+                        == _leibniz(shifted, p)
+    # Q characteristic polynomials of integer matrices reduce to F_p ones
+    for p in (3, 7):
+        A = [[rng.randint(-30, 30) for _ in range(5)] for _ in range(5)]
+        over_q = kernels.charpoly_mod([[Fraction(x) for x in r] for r in A], None)
+        mod_p = kernels.charpoly_mod([[x % p for x in r] for r in A], p)
+        assert [int(x) % p for x in over_q] == mod_p
 
 
-@pytest.mark.parametrize("lane_name,lane", LANES)
-def test_eval_words_against_naive(lane_name, lane, rng):
+def test_eval_words_against_naive(rng):
     p = 7
-    F = PrimeField(p)
     for _ in range(20):
         n = rng.choice([2, 3])
         m = rng.choice([1, 2, 3])
-        mats = [_rand_mat(rng, n, p) for _ in range(m)]
+        mats = [np.array(_rand(rng, n, n, p), dtype=np.int64) for _ in range(m)]
         words = [[rng.randrange(m) for _ in range(rng.randint(0, 5))]
                  for _ in range(rng.randint(1, 8))]
         coeffs = [rng.randrange(p) for _ in words]
@@ -73,10 +169,10 @@ def test_eval_words_against_naive(lane_name, lane, rng):
         for w in words:
             flat.extend(w)
             offs.append(len(flat))
-        got = lane["eval_words"](np.array(flat, dtype=np.int64),
-                                 np.array(offs, dtype=np.int64),
-                                 np.array(coeffs, dtype=np.int64),
-                                 np.stack(mats), p)
+        got = kernels.eval_words_mod(np.array(flat, dtype=np.int64),
+                                     np.array(offs, dtype=np.int64),
+                                     np.array(coeffs, dtype=np.int64),
+                                     np.stack(mats), p)
         want = np.zeros((n, n), dtype=np.int64)
         for w, c in zip(words, coeffs):
             acc = np.eye(n, dtype=np.int64)
@@ -94,23 +190,24 @@ def test_count_gl_matches_formula(lane_name, lane):
         count, ok, _ = lane["conjugator_search"](zero, zero, ident, zero, p)
         assert not ok and count == order_gl(n, p)
     assert order_gl(3, 3) == 11232
+
+
 @pytest.mark.parametrize("lane_name,lane", LANES)
 def test_conjugator_search_small(lane_name, lane, rng):
     p = 3
-    F = PrimeField(p)
     A1 = np.array([[0, 0], [0, 1]], dtype=np.int64)
     A2 = np.array([[0, 1], [0, 0]], dtype=np.int64)
     # conjugate by a known g and expect recovery of some witness
     g = np.array([[1, 1], [1, 2]], dtype=np.int64)
-    ok, ginv = lane["inverse"](g, p)
-    assert ok
-    B1 = lane["matmul"](lane["matmul"](g, A1, p), ginv, p)
-    B2 = lane["matmul"](lane["matmul"](g, A2, p), ginv, p)
+    ginv = np.array([[2, 2], [2, 1]], dtype=np.int64)
+    assert (g @ ginv % p == np.eye(2, dtype=np.int64)).all()
+    B1 = g @ A1 @ ginv % p
+    B2 = g @ A2 @ ginv % p
     count, found, w = lane["conjugator_search"](A1, A2, B1, B2, p)
     assert count == order_gl(2, 3)
     assert found
-    assert (lane["matmul"](w, A1, p) == lane["matmul"](B1, w, p)).all()
-    assert (lane["matmul"](w, A2, p) == lane["matmul"](B2, w, p)).all()
+    assert (w @ A1 % p == B1 @ w % p).all()
+    assert (w @ A2 % p == B2 @ w % p).all()
     # an impossible target: ranks of second components differ
     C2 = np.array([[1, 0], [0, 1]], dtype=np.int64)
     count, found, _ = lane["conjugator_search"](A1, A2, A1, C2, p)
@@ -122,7 +219,7 @@ def test_lanes_agree_on_search(rng):
         pytest.skip("numba lane unavailable")
     p = 3
     for _ in range(5):
-        mats = [_rand_mat(rng, 2, p) for _ in range(4)]
+        mats = [np.array(_rand(rng, 2, 2, p), dtype=np.int64) for _ in range(4)]
         res_np = kernels.IMPLS["numpy"]["conjugator_search"](*mats, p)
         res_nb = kernels.IMPLS["numba"]["conjugator_search"](*mats, p)
         assert res_np[0] == res_nb[0] and res_np[1] == res_nb[1]

@@ -277,22 +277,56 @@ def test_inverse_roundtrip(rng, field):
 
 
 def test_int64_overflow_guard_at_large_p():
-    """Above the int64 range of the kernels every F_p op refuses; below it
-    the kernels agree with Python-int arithmetic."""
-    from simspec.canonical import MatrixPair, canonicalize
+    """At p = 4294967291, where int64 sums of products overflow, the small ops
+    on Python ints are exact, checked against Python-int arithmetic here;
+    canonicalize's residue scan refuses such a p at once, and the int64
+    kernels behind find_conjugator and NcPoly.eval still refuse it."""
+    import time
+
+    from simspec.canonical import MatrixPair, canonicalize, find_conjugator
+    from simspec.ncpoly import NcPoly
 
     rng = random.Random(64)
     big = PrimeField(4294967291)
-    A = Mat(big, [[rng.randrange(big.p) for _ in range(4)] for _ in range(4)])
-    B = Mat(big, [[rng.randrange(big.p) for _ in range(4)] for _ in range(4)])
-    for op in (lambda: A @ B, lambda: rank(A), lambda: det(A),
-               lambda: canonicalize(MatrixPair(Mat.diag(big, [1, 2, 3, 4]), B))):
-        with pytest.raises(ResourceGuardError):
-            op()
+    p = big.p
+    X = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+    Y = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+    A, B = Mat(big, X), Mat(big, Y)
+
+    def product(U, V):
+        return [[sum(U[i][k] * V[k][j] for k in range(len(V))) % p
+                 for j in range(len(V[0]))] for i in range(len(U))]
+
+    assert A @ B == Mat(big, product(X, Y))
+    leibniz = sum((-1) ** sum(s[i] > s[j] for i in range(4) for j in range(i + 1, 4))
+                  * X[0][s[0]] * X[1][s[1]] * X[2][s[2]] * X[3][s[3]]
+                  for s in itertools.permutations(range(4))) % p
+    assert det(A).value == leibniz != 0 and rank(A) == 4
+    Z = X[:3] + [[(5 * X[0][j] + 7 * X[1][j]) % p for j in range(4)]]
+    assert rank(Mat(big, Z)) == 3 and det(Mat(big, Z)).is_zero()
+    inv = [[e.value for e in row] for row in inverse(A).rows]
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert product(X, inv) == ident == product(inv, X)
+    c = [e.value for e in charpoly(A)]
+    assert c[1] == -sum(X[i][i] for i in range(4)) % p and c[4] == leibniz
+    acc, power = [[0] * 4 for _ in range(4)], ident     # Cayley-Hamilton
+    for ck in reversed(c):
+        acc = [[(x + ck * y) % p for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
+        power = product(power, X)
+    assert acc == [[0] * 4 for _ in range(4)]
+
+    P = MatrixPair(Mat.diag(big, [1, 2, 3, 4]), B)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceGuardError):
+        canonicalize(P)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ResourceGuardError):
+        find_conjugator(P, P)
+    with pytest.raises(ResourceGuardError):
+        NcPoly.word(big, (1, 2), m=2).eval((A, B))
+
     p = 1_000_000_007          # 5 (p - 1)^2 < 2^63
     F = PrimeField(p)
     X = [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
     Y = [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
-    want = [[sum(X[i][k] * Y[k][j] for k in range(5)) % p for j in range(5)]
-            for i in range(5)]
-    assert Mat(F, X) @ Mat(F, Y) == Mat(F, want)
+    assert Mat(F, X) @ Mat(F, Y) == Mat(F, product(X, Y))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from simspec.errors import VerificationError
 from simspec.fields import QQ, PrimeField
 from simspec.matrices import Mat, rank
 from simspec.ncpoly import eval_word, is_multilinear
@@ -183,7 +184,7 @@ def test_certificate_built_once_per_pattern_and_checked(monkeypatch):
     monkeypatch.setattr(staircase, "_reduce",
                         lambda S: StaircaseOutcome(((1,), (2,), (3,)), (), ()))
     try:
-        with pytest.raises(AssertionError):
+        with pytest.raises(VerificationError):
             staircase_cert(_seq(range(1, 8), pattern))
     finally:
         staircase._cert_for_pattern.cache_clear()
