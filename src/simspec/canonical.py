@@ -9,7 +9,8 @@ returned and checked against the reconstituted pair on every call.
 
 One body serves Q and F_p: it runs the kernels on raw entry values (ints mod
 p or Fractions), and only root finding and scalar inverses depend on the
-field.  F_p with p < n is refused with FieldTooSmallError.
+field.  The eigenvalues and parameters of the result are FieldElements.  F_p
+with p < n is refused with FieldTooSmallError.
 """
 
 from __future__ import annotations
@@ -20,15 +21,9 @@ from . import kernels
 from .errors import (FieldMismatchError, FieldTooSmallError, ResourceGuardError,
                      VerificationError)
 from .fields import Field, FieldElement
-from .matrices import (
-    DEFAULT_GL_GUARD,
-    Mat,
-    _eigenbasis,
-    eigs_in_field,
-    mat_from_np,
-    order_gl,
-)
+from .matrices import DEFAULT_GL_GUARD, Mat, _eigenbasis, eigs_in_field, order_gl
 from .stargraph import (
+    STAR,
     Digraph,
     StarMatrix,
     _UnionFind,
@@ -99,22 +94,11 @@ class CanonicalPair:
     def reconstituted(self) -> MatrixPair:
         """The member of the class with 1 at 1 cells, 0 at 0 cells and the
         stored parameters at * cells."""
-        field = self.field
-        A1 = Mat.diag(field, self.eigs)
         vals = dict(self.params)
-        rows = []
-        for i in range(1, self.n + 1):
-            row = []
-            for j in range(1, self.n + 1):
-                sym = self.star.cell(i, j)
-                if sym == "1":
-                    row.append(field.one)
-                elif sym == "0":
-                    row.append(field.zero)
-                else:
-                    row.append(vals[(i, j)])
-            rows.append(row)
-        return MatrixPair(A1, Mat(field, rows))
+        rows = [[vals[(i, j)] if sym == STAR else int(sym)
+                 for j, sym in enumerate(row, start=1)]
+                for i, row in enumerate(self.star.cells, start=1)]
+        return MatrixPair(Mat.diag(self.field, self.eigs), Mat(self.field, rows))
 
 
 @dataclass(frozen=True)
@@ -231,7 +215,7 @@ def find_conjugator(P: MatrixPair, Q: MatrixPair,
             % (n, p, order_gl(n, p)))
     count, ok, g = kernels.conjugator_search_mod(
         P.A1.to_np(), P.A2.to_np(), Q.A1.to_np(), Q.A2.to_np(), p)
-    witness = mat_from_np(P.field, g) if ok else None
+    witness = Mat(P.field, g.tolist()) if ok else None
     return witness, int(count)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldMismatchError, InputFormatError, ResourceGuardError
+from .kernels import inv_scalar
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -45,8 +46,14 @@ class Field:
     is_rationals = False
     p: int | None = None
 
-    def elem(self, x) -> "FieldElement":
+    def raw(self, x):
+        """The raw value of x in this field: a Fraction over Q, a residue in
+        {0,...,p-1} over F_p.  The one coercion of matrix entries and
+        polynomial coefficients."""
         raise NotImplementedError
+
+    def elem(self, x) -> "FieldElement":
+        return FieldElement(self, self.raw(x))
 
     @property
     def zero(self) -> "FieldElement":
@@ -66,12 +73,14 @@ class Field:
 class RationalField(Field):
     is_rationals = True
 
-    def elem(self, x) -> "FieldElement":
+    def raw(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, FieldElement):
             if x.field is not self:
                 raise FieldMismatchError("element of %r is not rational" % (x.field,))
-            return x
-        return FieldElement(self, Fraction(x))
+            return x.value
+        return Fraction(x)
 
     def parse(self, text: str) -> "FieldElement":
         try:
@@ -107,18 +116,18 @@ class PrimeField(Field):
             cls._cache[p] = inst
         return inst
 
-    def elem(self, x) -> "FieldElement":
+    def raw(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, FieldElement):
             if x.field is not self:
                 raise FieldMismatchError("element of %r is not in F_%d" % (x.field, self.p))
-            return x
+            return x.value
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            num = x.numerator % self.p
-            den = pow(x.denominator % self.p, self.p - 2, self.p)
-            return FieldElement(self, num * den % self.p)
-        return FieldElement(self, int(x) % self.p)
+            return x.numerator * inv_scalar(x.denominator, self.p) % self.p
+        return int(x) % self.p
 
     def elements(self):
         """All residues in increasing order."""
@@ -148,21 +157,17 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatchError("%r vs %r" % (self.field, other.field))
-            return other
-        if isinstance(other, int):
-            return self.field.elem(other)
+        if isinstance(other, (int, FieldElement)):
+            return self.field.elem(other)   # raises on another field's element
         return NotImplemented
+
+    # results are reduced by Field.elem
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.is_rationals:
-            return FieldElement(self.field, self.value + other.value)
-        return FieldElement(self.field, (self.value + other.value) % self.field.p)
+        return self.field.elem(self.value + other.value)
 
     __radd__ = __add__
 
@@ -170,9 +175,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.is_rationals:
-            return FieldElement(self.field, self.value - other.value)
-        return FieldElement(self.field, (self.value - other.value) % self.field.p)
+        return self.field.elem(self.value - other.value)
 
     def __rsub__(self, other):
         return self.field.elem(other) - self
@@ -181,9 +184,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.is_rationals:
-            return FieldElement(self.field, self.value * other.value)
-        return FieldElement(self.field, (self.value * other.value) % self.field.p)
+        return self.field.elem(self.value * other.value)
 
     __rmul__ = __mul__
 
@@ -197,16 +198,12 @@ class FieldElement:
         return self.field.elem(other) / self
 
     def __neg__(self):
-        if self.field.is_rationals:
-            return FieldElement(self.field, -self.value)
-        return FieldElement(self.field, (-self.value) % self.field.p)
+        return self.field.elem(-self.value)
 
     def inverse(self) -> "FieldElement":
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero in %r" % (self.field,))
-        if self.field.is_rationals:
-            return FieldElement(self.field, 1 / self.value)
-        return FieldElement(self.field, pow(self.value, self.field.p - 2, self.field.p))
+        return FieldElement(self.field, inv_scalar(self.value, self.field.p))
 
     def is_zero(self) -> bool:
         return self.value == 0

@@ -14,7 +14,9 @@ from one table per pair instead of expanding it into words.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
+from . import kernels
 from .errors import VerificationError
 from .ncpoly import NcPoly
 
@@ -29,25 +31,16 @@ def _check_distinct(a):
 @lru_cache(maxsize=256)
 def _idempotent_cached(a: tuple, t: int) -> NcPoly:
     field = a[0].field
-    n = len(a)
-    # numerator prod_{s != t} (x - a_s) as ascending coefficient list
-    coeffs = [field.one]
-    for s in range(n):
-        if s == t - 1:
-            continue
-        root = a[s]
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] = nxt[k + 1] + c
-            nxt[k] = nxt[k] - c * root
-        coeffs = nxt
-    denom = field.one
-    for s in range(n):
-        if s != t - 1:
-            denom = denom * (a[t - 1] - a[s])
-    scale = denom.inverse()
-    terms = {(1,) * k: c * scale for k, c in enumerate(coeffs)}
-    return NcPoly(field, 1, terms)
+    p = field.p
+    at = a[t - 1].value
+    others = [s.value for s in a if s.value != at]
+    # numerator prod_{s != t} (x - a_s) as ascending raw coefficients
+    coeffs = [1]
+    for root in others:
+        coeffs = [kernels.red(lo - root * hi, p)
+                  for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    scale = kernels.inv_scalar(kernels.red(prod(at - root for root in others), p), p)
+    return NcPoly(field, 1, {(1,) * k: c * scale for k, c in enumerate(coeffs)})
 
 
 def idempotent_poly(a, t: int) -> NcPoly:
@@ -75,7 +68,7 @@ class EntryProbe(NcPoly):
         field = a[0].field
         x2 = NcPoly.letter(field, 2, m=2)
         out = _idempotent_cached(a, i) * x2 * _idempotent_cached(a, j)
-        super().__init__(field, 2, dict(out.terms()))
+        super().__init__(field, 2, out._terms)
         object.__setattr__(self, "eigs", a)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)

@@ -1,32 +1,27 @@
-"""The exact small matrix ops, one implementation each for Q and F_p, and the
-vectorized F_p kernels.
+"""The exact small matrix ops, one implementation each for Q and F_p, the one
+word evaluator, and the GL_n(F_p) search kernels.
 
-matmul_mod, rref_mod, rank_mod, det_mod, inverse_mod and charpoly_mod take
-lists of rows of raw values: Python ints already reduced mod p, or
-``Fraction``s when p is None.  Python ints never overflow, so they are exact
-at every p.  Over Q every inverse starts from ``Fraction(1)``: ``1 / x`` with
-an int x would give an inexact float.
+matmul_mod, rref_mod, rank_mod, det_mod, inverse_mod, charpoly_mod and
+eval_words_mod take lists of rows of raw values: Python ints already reduced
+mod p, or ``Fraction``s when p is None.  Python ints never overflow, so they
+are exact at every p.  Over Q every inverse starts from ``Fraction(1)``:
+``1 / x`` with an int x would give an inexact float.
 
-numpy is used only where it vectorizes: eval_words_mod (``NcPoly.eval`` over
-F_p) and conjugator_search_mod (the GL_n(F_p) oracle).  Both take int64
-arrays; the search runs as a numba ``@njit`` loop when numba imports
+numpy is used only by conjugator_search_mod (the GL_n(F_p) oracle), on int64
+arrays, and is imported on its first call, so importing simspec does not load
+it.  The search runs as a numba ``@njit`` loop when numba is installed
 (``USE_NUMBA``), else as a batched numpy scan.  ``IMPLS`` exposes both lanes
 of the search for cross-checking.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    USE_NUMBA = True
-except ImportError:
-    USE_NUMBA = False
+USE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +80,11 @@ def rref_mod(A, p):
     return R, pivots
 
 
-# rank_mod and inverse_mod call rref_mod by this name, so that a wrapper
-# bound to the public name counts only outside calls
+# rank_mod, inverse_mod and eval_words_mod call rref_mod and matmul_mod by
+# these names, so that a wrapper bound to a public name counts only outside
+# calls
 _rref = rref_mod
+_matmul = matmul_mod
 
 
 def rank_mod(A, p):
@@ -149,30 +146,28 @@ def charpoly_mod(A, p):
     return poly
 
 
+def eval_words_mod(flat, offs, coeffs, mats, p):
+    """sum_w coeffs[w] * prod(mats[flat[offs[w]:offs[w+1]]]), the empty
+    product being the identity.  Prefix products are memoized, so words
+    sharing a prefix share its products."""
+    zero, one = _zero_one(p)
+    n = len(mats[0])
+    memo = {(): [[one if i == j else zero for j in range(n)] for i in range(n)]}
+    acc = [[zero] * n for _ in range(n)]
+    for w, c in enumerate(coeffs):
+        word = tuple(flat[offs[w]:offs[w + 1]])
+        prod = memo[()]
+        for s in range(1, len(word) + 1):
+            if word[:s] not in memo:
+                memo[word[:s]] = _matmul(prod, mats[word[s - 1]], p)
+            prod = memo[word[:s]]
+        acc = [[x + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, prod)]
+    return [[red(x, p) for x in row] for row in acc]
+
+
 # ---------------------------------------------------------------------------
-# vectorized int64 kernels
+# GL_n(F_p) search on int64 arrays; np is bound by _search_lanes
 # ---------------------------------------------------------------------------
-
-def _eval_words_np(flat, offs, coeffs, mats, p):
-    # sum_w coeffs[w] * prod(mats[flat[offs[w]:offs[w+1]]]), empty product = I
-    n = mats.shape[1]
-    nwords = offs.shape[0] - 1
-    if nwords == 0:
-        return np.zeros((n, n), dtype=np.int64)
-    lens = offs[1:] - offs[:-1]
-    maxlen = int(lens.max()) if nwords else 0
-    acc = np.broadcast_to(np.eye(n, dtype=np.int64), (nwords, n, n)).copy()
-    for t in range(maxlen):
-        active = lens > t
-        if not active.any():
-            break
-        letters = flat[offs[:-1][active] + t]
-        acc[active] = (acc[active] @ mats[letters]) % p
-    return (coeffs[:, None, None] * acc).sum(axis=0) % p
-
-
-eval_words_mod = _eval_words_np
-
 
 _CHUNK = 1 << 17
 
@@ -336,12 +331,30 @@ def _conjugator_search_src(A1, A2, B1, B2, p):
     return count, ok, found
 
 
-if USE_NUMBA:
-    _inv_mod = njit(cache=True)(_inv_mod_src)
-    _det_nb = njit(cache=True)(_det_src)
-    conjugator_search_mod = njit(cache=True)(_conjugator_search_src)
-else:
-    conjugator_search_mod = _conjugator_search_np
+@cache
+def _search_lanes():
+    """The search lanes, built on first use: numpy, and numba when installed."""
+    global np, _inv_mod, _det_nb
+    import numpy as np
 
-IMPLS = {"numpy": {"conjugator_search": _conjugator_search_np},
-         "numba": {"conjugator_search": conjugator_search_mod} if USE_NUMBA else None}
+    lanes = {"numpy": {"conjugator_search": _conjugator_search_np}, "numba": None}
+    if USE_NUMBA:
+        from numba import njit
+
+        _inv_mod = njit(cache=True)(_inv_mod_src)
+        _det_nb = njit(cache=True)(_det_src)
+        lanes["numba"] = {"conjugator_search": njit(cache=True)(_conjugator_search_src)}
+    return lanes
+
+
+def conjugator_search_mod(A1, A2, B1, B2, p):
+    """(invertible count, found, first g in lex order with g A1 = B1 g and
+    g A2 = B2 g) over all n x n matrices g over F_p, on int64 arrays."""
+    lanes = _search_lanes()
+    return (lanes["numba"] or lanes["numpy"])["conjugator_search"](A1, A2, B1, B2, p)
+
+
+def __getattr__(name):
+    if name == "IMPLS":
+        return _search_lanes()
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -1,20 +1,22 @@
 """Exact dense matrices over Q or F_p and the linear algebra on them.
 
-A Mat holds FieldElements; products, rank, det, inverse, nullspaces and
-characteristic polynomials run the one implementation of each op in
-:mod:`simspec.kernels` on the raw entry values (ints mod p or Fractions) and
-wrap the result.  First-nonzero pivoting everywhere, so results are
-deterministic.  Eigenvalues in F_p come from a scan of the residues, bounded
-by MAX_ROOT_SCAN.
+A Mat holds raw entry values, Fractions over Q and residues in {0,...,p-1}
+over F_p, coerced once by ``Field.raw`` in its one constructor.  Products,
+rank, det, inverse, nullspaces and characteristic polynomials run the one
+implementation of each op in :mod:`simspec.kernels` on these rows.
+FieldElements are made only at the API edge: ``M[i, j]``, ``M.rows``, and the
+scalars that det, charpoly, sigma, eigs_in_field and nullspace_basis return.
+First-nonzero pivoting everywhere, so results are deterministic.
+Eigenvalues in F_p come from a scan of the residues, rational eigenvalues
+from the divisors of two coefficients; both searches are bounded by
+MAX_ROOT_SCAN.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
+from math import isqrt, lcm
 
 from . import kernels
 from .errors import (
@@ -31,12 +33,13 @@ MAX_ROOT_SCAN = 1 << 20
 
 
 class Mat:
-    """Immutable matrix; entries are FieldElement sharing one field."""
+    """Immutable matrix of raw entry values over one field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_np_cache", "_hash")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_hash")
 
     def __init__(self, field: Field, rows):
-        coerced = tuple(tuple(field.elem(x) for x in row) for row in rows)
+        raw = field.raw
+        coerced = tuple(tuple(map(raw, row)) for row in rows)
         if not coerced or not coerced[0]:
             raise ValueError("matrix needs at least one row and column")
         ncols = len(coerced[0])
@@ -45,8 +48,7 @@ class Mat:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(coerced))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "_np_cache", None)
+        object.__setattr__(self, "_rows", coerced)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, val):
@@ -57,33 +59,34 @@ class Mat:
     @staticmethod
     def zeros(field, nrows, ncols=None):
         ncols = nrows if ncols is None else ncols
-        z = field.zero
-        return Mat(field, [[z] * ncols for _ in range(nrows)])
+        return Mat(field, [[0] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero, field.one
-        return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Mat.diag(field, [1] * n)
 
     @staticmethod
     def diag(field, values):
-        vals = [field.elem(v) for v in values]
-        z = field.zero
+        vals = list(values)
         n = len(vals)
-        return Mat(field, [[vals[i] if i == j else z for j in range(n)] for i in range(n)])
+        return Mat(field, [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def unit(field, n, i, j):
         """E_ij: single 1 in row i, column j (1-based), n x n."""
-        z, o = field.zero, field.one
-        return Mat(field, [[o if (r + 1, c + 1) == (i, j) else z for c in range(n)]
+        return Mat(field, [[int((r + 1, c + 1) == (i, j)) for c in range(n)]
                            for r in range(n)])
 
     # -- basics ------------------------------------------------------------
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return FieldElement(self.field, self._rows[i][j])
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as tuples of FieldElements."""
+        return tuple(tuple(FieldElement(self.field, x) for x in row) for row in self._rows)
 
     @property
     def n(self):
@@ -95,10 +98,10 @@ class Mat:
         return self.nrows == self.ncols
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(map(any, self._rows))
 
     def transpose(self):
-        return Mat(self.field, list(zip(*self.rows)))
+        return Mat(self.field, zip(*self._rows))
 
     def _check(self, other):
         if not isinstance(other, Mat):
@@ -106,26 +109,24 @@ class Mat:
         if other.field is not self.field:
             raise FieldMismatchError("%r vs %r" % (self.field, other.field))
 
+    # sums and scalar multiples are left unreduced: the constructor reduces
+
     def __add__(self, other):
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         return Mat(self.field, [[a + b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.rows, other.rows)])
+                                for r1, r2 in zip(self._rows, other._rows)])
 
     def __sub__(self, other):
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Mat(self.field, [[a - b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self):
-        return Mat(self.field, [[-a for a in row] for row in self.rows])
+        return Mat(self.field, [[-a for a in row] for row in self._rows])
 
     def __mul__(self, scalar):
-        s = self.field.elem(scalar)
-        return Mat(self.field, [[a * s for a in row] for row in self.rows])
+        s = self.field.raw(scalar)
+        return Mat(self.field, [[a * s for a in row] for row in self._rows])
 
     __rmul__ = __mul__
 
@@ -133,48 +134,41 @@ class Mat:
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return Mat(self.field, kernels.matmul_mod(self.values(), other.values(),
-                                                  self.field.p))
+        return Mat(self.field, kernels.matmul_mod(self._rows, other._rows, self.field.p))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.field is other.field and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+        return self.field is other.field and self._rows == other._rows
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((id(self.field), self.rows)))
+            object.__setattr__(self, "_hash", hash((id(self.field), self._rows)))
         return self._hash
 
     def __repr__(self):
-        body = "; ".join(" ".join(repr(e) for e in row) for row in self.rows)
+        body = "; ".join(" ".join(map(str, row)) for row in self._rows)
         return "Mat(%r, [%s])" % (self.field, body)
 
     def values(self) -> list:
-        """Rows of raw entry values: residues mod p, or Fractions over Q."""
-        return [[e.value for e in row] for row in self.rows]
+        """The raw entry values as a new list of row lists."""
+        return [list(row) for row in self._rows]
 
-    def to_np(self) -> np.ndarray:
-        """int64 residue array; prime fields only.  The vectorized kernels
-        sum up to max(nrows, ncols) products of residues in int64, so a
-        modulus whose sums could overflow is refused rather than answered
-        wrongly."""
+    def to_np(self):
+        """int64 residue array, for the GL_n(F_p) search only; prime fields
+        only.  The vectorized search sums up to max(nrows, ncols) products of
+        residues in int64, so a modulus whose sums could overflow is refused
+        rather than answered wrongly."""
+        import numpy as np
+
         if self.field.is_rationals:
             raise TypeError("no int64 form for rational matrices")
-        if self._np_cache is None:
-            p = self.field.p
-            if max(self.nrows, self.ncols) * (p - 1) ** 2 >= 2 ** 63:
-                raise ResourceGuardError(
-                    "F_%d is too large for the int64 kernels at size %d"
-                    % (p, max(self.nrows, self.ncols)))
-            arr = np.array([[e.value for e in row] for row in self.rows], dtype=np.int64)
-            object.__setattr__(self, "_np_cache", arr)
-        return self._np_cache
-
-
-def mat_from_np(field, arr) -> Mat:
-    return Mat(field, [[int(v) for v in row] for row in arr])
+        p = self.field.p
+        if max(self.nrows, self.ncols) * (p - 1) ** 2 >= 2 ** 63:
+            raise ResourceGuardError(
+                "F_%d is too large for the int64 kernels at size %d"
+                % (p, max(self.nrows, self.ncols)))
+        return np.array(self._rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +177,19 @@ def mat_from_np(field, arr) -> Mat:
 
 def rank(M: Mat) -> int:
     """Row rank by exact Gaussian elimination."""
-    return kernels.rank_mod(M.values(), M.field.p)
+    return kernels.rank_mod(M._rows, M.field.p)
 
 
 def det(M: Mat) -> FieldElement:
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
-    return M.field.elem(kernels.det_mod(M.values(), M.field.p))
+    return M.field.elem(kernels.det_mod(M._rows, M.field.p))
 
 
 def inverse(M: Mat) -> Mat:
     if not M.is_square():
         raise ValueError("inverse of non-square matrix")
-    inv = kernels.inverse_mod(M.values(), M.field.p)
+    inv = kernels.inverse_mod(M._rows, M.field.p)
     if inv is None:
         raise SingularMatrixError("matrix is singular over %r" % (M.field,))
     return Mat(M.field, inv)
@@ -219,14 +213,14 @@ def _nullspace(A, p) -> list:
 def nullspace_basis(M: Mat) -> list[tuple[FieldElement, ...]]:
     """Canonical RREF basis of the right nullspace, as row tuples."""
     return [tuple(M.field.elem(x) for x in v)
-            for v in _nullspace(M.values(), M.field.p)]
+            for v in _nullspace(M._rows, M.field.p)]
 
 
 def charpoly(M: Mat) -> tuple[FieldElement, ...]:
     """Coefficients (1, c1, ..., cn) of det(xI - M)."""
     if not M.is_square():
         raise ValueError("charpoly of non-square matrix")
-    return tuple(M.field.elem(c) for c in kernels.charpoly_mod(M.values(), M.field.p))
+    return tuple(M.field.elem(c) for c in kernels.charpoly_mod(M._rows, M.field.p))
 
 
 def sigma(M: Mat, t: int) -> FieldElement:
@@ -268,12 +262,18 @@ def _divisors(m: int) -> list[int]:
 
 def _rational_roots(coeffs) -> list:
     """Roots in Q of a monic polynomial with Fraction coefficients, with
-    multiplicities, ascending."""
+    multiplicities, ascending.  The candidates r/s come from the divisors of
+    the scaled constant term and leading coefficient, found by trial
+    division; refused when either needs more than MAX_ROOT_SCAN trials."""
     mult0, poly = _divide_out(coeffs, 0, None)
     found = [(Fraction(0), mult0)] if mult0 else []
     if len(poly) > 1:
         scale = lcm(*[c.denominator for c in poly])
         ints = [int(c * scale) for c in poly]
+        if max(isqrt(abs(ints[0])), isqrt(abs(ints[-1]))) > MAX_ROOT_SCAN:
+            raise ResourceGuardError(
+                "rational root search over the divisors of %d and %d exceeds "
+                "the scan limit %d" % (ints[-1], ints[0], MAX_ROOT_SCAN))
         candidates = {Fraction(sign * r, s) for r in _divisors(ints[-1])
                       for s in _divisors(ints[0]) for sign in (1, -1)}
         for cand in sorted(candidates):
@@ -345,7 +345,7 @@ def diagonalizer(A1: Mat) -> tuple[Mat, list[FieldElement]]:
     nullspace vectors of (A1^T - a I)."""
     if not A1.is_square():
         raise ValueError("matrix is not square")
-    g, roots = _eigenbasis(A1.values(), A1.field)
+    g, roots = _eigenbasis(A1._rows, A1.field)
     return Mat(A1.field, g), [A1.field.elem(a) for a in roots]
 
 

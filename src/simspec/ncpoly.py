@@ -6,6 +6,11 @@ so equality is structural.  NcExpr is a factored companion form, a sum of
 scalar * product-of-NcPoly terms, used where full expansion would blow up; it
 evaluates exactly and carries a certified degree upper bound.
 
+Coefficients are kept as raw field values (Fractions over Q, residues over
+F_p), coerced by ``Field.raw``; ``coeff`` and ``terms`` hand out
+FieldElements.  NcPoly.eval runs kernels.eval_words_mod, the one word
+evaluator, over both fields.
+
 The invariant probes do not go through eval: separators.ProbeEvaluator reads
 their values in each pair's verified eigenbasis, while their degrees are
 still certified here, on the formal polynomials.  NcPoly.eval, NcExpr.eval
@@ -14,14 +19,18 @@ and expand serve general polynomials and the tests' reference evaluation.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import prod
+
 from .errors import FieldMismatchError
 from .fields import Field, FieldElement
-from .matrices import Mat, mat_from_np
+from .matrices import Mat
 from . import kernels
 
-import numpy as np
-
 Word = tuple
+
+# operands that NcPoly arithmetic treats as scalars: raw values or elements
+_SCALARS = (int, Fraction, FieldElement)
 
 EMPTY_WORD: Word = ()
 
@@ -50,12 +59,7 @@ def is_multilinear(w: Word) -> bool:
 
 def eval_word(w: Word, mats) -> Mat:
     """Substitute letter k -> mats[k-1]; the empty word gives the identity."""
-    n = mats[0].n
-    field = mats[0].field
-    acc = Mat.identity(field, n)
-    for k in w:
-        acc = acc @ mats[k - 1]
-    return acc
+    return NcPoly.word(mats[0].field, w, m=len(mats)).eval(mats)
 
 
 def _term_key(w: Word):
@@ -63,7 +67,7 @@ def _term_key(w: Word):
 
 
 class NcPoly:
-    """Nonzero-coefficient map word -> FieldElement, with nominal arity m."""
+    """Nonzero-coefficient map word -> raw coefficient, with nominal arity m."""
 
     __slots__ = ("field", "m", "_terms", "_hash")
 
@@ -71,8 +75,8 @@ class NcPoly:
         clean = {}
         if terms:
             for w, c in terms.items():
-                c = field.elem(c)
-                if not c.is_zero():
+                c = field.raw(c)
+                if c:
                     clean[tuple(w)] = c
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "m", m)
@@ -90,30 +94,34 @@ class NcPoly:
 
     @staticmethod
     def one(field, m=1):
-        return NcPoly(field, m, {EMPTY_WORD: field.one})
+        return NcPoly(field, m, {EMPTY_WORD: 1})
 
     @staticmethod
     def scalar(field, c, m=1):
-        return NcPoly(field, m, {EMPTY_WORD: field.elem(c)})
+        return NcPoly(field, m, {EMPTY_WORD: c})
 
     @staticmethod
     def letter(field, k, m=None):
-        return NcPoly(field, m if m is not None else k, {(k,): field.one})
+        return NcPoly(field, m if m is not None else k, {(k,): 1})
 
     @staticmethod
     def word(field, w, m=None):
         w = tuple(w)
         arity = m if m is not None else (max(w) if w else 1)
-        return NcPoly(field, arity, {w: field.one})
+        return NcPoly(field, arity, {w: 1})
 
     # -- structure ---------------------------------------------------------
 
-    def terms(self):
-        """(word, coeff) pairs sorted by (length, lexicographic)."""
+    def _sorted(self):
+        """(word, raw coeff) pairs sorted by (length, lexicographic)."""
         return sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
 
+    def terms(self):
+        """(word, FieldElement coeff) pairs sorted by (length, lexicographic)."""
+        return [(w, FieldElement(self.field, c)) for w, c in self._sorted()]
+
     def coeff(self, w: Word) -> FieldElement:
-        return self._terms.get(tuple(w), self.field.zero)
+        return self.field.elem(self._terms.get(tuple(w), 0))
 
     @property
     def formal_degree(self) -> int:
@@ -131,30 +139,27 @@ class NcPoly:
         if other.field is not self.field:
             raise FieldMismatchError("%r vs %r" % (self.field, other.field))
 
+    # sums and products are left unreduced: the constructor reduces them and
+    # drops the zeros
+
     def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             other = NcPoly.scalar(self.field, other, self.m)
         self._check(other)
         out = dict(self._terms)
         for w, c in other._terms.items():
-            s = out.get(w, self.field.zero) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            out[w] = out.get(w, 0) + c
         return NcPoly(self.field, max(self.m, other.m), out)
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = NcPoly.scalar(self.field, other, self.m)
-        return self + (-other)
+        return self + -other
 
     def __neg__(self):
         return NcPoly(self.field, self.m, {w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            c = self.field.elem(other)
+        if isinstance(other, _SCALARS):
+            c = self.field.raw(other)
             return NcPoly(self.field, self.m,
                           {w: v * c for w, v in self._terms.items()})
         self._check(other)
@@ -162,17 +167,10 @@ class NcPoly:
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 w = w1 + w2
-                s = out.get(w, self.field.zero) + c1 * c2
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                out[w] = out.get(w, 0) + c1 * c2
         return NcPoly(self.field, max(self.m, other.m), out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__      # reached only with a scalar on the left
 
     # -- evaluation ----------------------------------------------------------
 
@@ -192,41 +190,15 @@ class NcPoly:
         if used > len(mats):
             raise ValueError("polynomial uses x%d but only %d matrices given"
                              % (used, len(mats)))
-        if not self._terms:
-            return Mat.zeros(self.field, n)
-        if not self.field.is_rationals:
-            return self._eval_mod(mats, n)
-        memo = {EMPTY_WORD: Mat.identity(self.field, n)}
-
-        def value(w):
-            got = memo.get(w)
-            if got is None:
-                got = value(w[:-1]) @ mats[w[-1] - 1]
-                memo[w] = got
-            return got
-
-        acc = Mat.zeros(self.field, n)
-        for w, c in self.terms():
-            acc = acc + value(w) * c
-        return acc
-
-    def _eval_mod(self, mats, n):
-        p = self.field.p
-        items = self.terms()
-        flat = []
-        offs = [0]
-        coeffs = []
-        for w, c in items:
+        flat, offs, coeffs = [], [0], []
+        for w, c in self._sorted():
             flat.extend(k - 1 for k in w)
             offs.append(len(flat))
-            coeffs.append(c.value)
-        arr = np.stack([M.to_np() for M in mats]) if mats else np.zeros((1, n, n), np.int64)
-        out = kernels.eval_words_mod(
-            np.array(flat, dtype=np.int64),
-            np.array(offs, dtype=np.int64),
-            np.array(coeffs, dtype=np.int64),
-            arr, p)
-        return mat_from_np(self.field, out)
+            coeffs.append(c)
+        # with no matrices every word is empty; a zero matrix gives the size
+        rows = [M.values() for M in mats] or [[[0] * n] * n]
+        return Mat(self.field, kernels.eval_words_mod(flat, offs, coeffs, rows,
+                                                      self.field.p))
 
     # -- text ----------------------------------------------------------------
 
@@ -234,9 +206,9 @@ class NcPoly:
         if not self._terms:
             return "0"
         pieces = []
-        for w, c in self.terms():
+        for w, c in self._sorted():
             wtxt = word_text(w)
-            ctxt = self.field.format(c)
+            ctxt = str(c)
             if w and ctxt == "1":
                 pieces.append(wtxt)
             elif w and ctxt == "-1":
@@ -319,7 +291,8 @@ def alt_sum(polys) -> NcPoly:
 
 
 class NcExpr:
-    """Sum of coeff * (P1 P2 ... Pk) with NcPoly factors, kept factored.
+    """Sum of coeff * (P1 P2 ... Pk) with NcPoly factors, kept factored;
+    ``terms`` holds (raw coeff, factors) pairs.
 
     The expanded formal degree never exceeds degree_bound, and evaluation
     multiplies evaluated factors, so certified degree claims and exact values
@@ -331,10 +304,9 @@ class NcExpr:
     def __init__(self, field: Field, terms):
         norm = []
         for c, factors in terms:
-            c = field.elem(c)
-            if c.is_zero():
-                continue
-            norm.append((c, tuple(factors)))
+            c = field.raw(c)
+            if c:
+                norm.append((c, tuple(factors)))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", tuple(norm))
 
@@ -353,29 +325,27 @@ class NcExpr:
         acc = Mat.zeros(self.field, n)
         memo = {}
         for c, factors in self.terms:
-            prod = Mat.identity(self.field, n)
+            term = Mat.identity(self.field, n)
             for f in factors:
                 got = memo.get(id(f))
                 if got is None:
                     got = f.eval(mats, n)
                     memo[id(f)] = got
-                prod = prod @ got
-            acc = acc + prod * c
+                term = term @ got
+            acc = acc + term * c
         return acc
 
     def expand(self, max_terms: int = 200_000) -> NcPoly:
-        est = sum(
-            max(1, int(np.prod([len(f) for f in fs]))) if fs else 1
-            for _, fs in self.terms)
+        est = sum(max(1, prod(len(f) for f in fs)) for _, fs in self.terms)
         if est > max_terms:
             raise ValueError("expansion would create ~%d words" % est)
         m = max((f.m for _, fs in self.terms for f in fs), default=1)
         acc = NcPoly.zero(self.field, m)
         for c, factors in self.terms:
-            prod = NcPoly.one(self.field, m)
+            term = NcPoly.one(self.field, m)
             for f in factors:
-                prod = prod * f
-            acc = acc + prod * c
+                term = term * f
+            acc = acc + term * c
         return acc
 
     def __eq__(self, other):
@@ -391,7 +361,7 @@ class NcExpr:
             return "0"
         pieces = []
         for c, factors in self.terms:
-            ctxt = self.field.format(c)
+            ctxt = str(c)
             ftxt = "".join("(%r)" % (f,) for f in factors) or "1"
             pieces.append("%s*%s" % (ctxt, ftxt))
         return " + ".join(pieces).replace("+ -", "- ")

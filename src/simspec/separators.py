@@ -17,6 +17,10 @@ and its rank or vanishing is read off directly (both are similarity
 invariants); sigma values are the elementary symmetric functions of the
 eigenvalues.  The trade-off is that the rank decider reads its values
 through the verified witness, not through products of the raw matrices.
+An equal verdict is returned only when both pairs' canonical forms, each
+with its exactly checked witness, agree as well.  The evaluator computes on
+raw field values with kernels.red and inv_scalar; FieldElements appear only
+in sigma values and in the reports.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
+from . import kernels
 from .canonical import (
     CanonicalPair,
     MatrixPair,
@@ -62,60 +67,62 @@ class ProbeEvaluator:
     the reconstituted canonical A2.  g H_t(A1) g^-1 = diag(l_t(lam)), l_t the
     Lagrange weight of idempotent_poly(a, t), so g h_ij(P) g^-1 has entries
     l_i(lam_k) B_kl l_j(lam_l): just b_ij at (i, j) when a == lam, as in every
-    decision.  value() multiplies these as scalars into g poly(P) g^-1.
+    decision.  value() multiplies these as raw scalars into g poly(P) g^-1.
     """
 
     def __init__(self, P: MatrixPair, canon: CanonicalPair | None = None):
         if canon is None:
             canon = canonicalize(P).canon
         self.pair, self.eigs = P, canon.eigs
-        self._B = canon.reconstituted().A2.rows
-        e = [P.field.one] + [P.field.zero] * P.n
-        for lam in self.eigs:
-            e = [e[0]] + [e[k] + e[k - 1] * lam for k in range(1, len(e))]
-        self.sigmas = tuple(e)      # sigma(A1, t) = e_t(lam)
+        self._p = p = P.field.p
+        self._one = P.field.raw(1)
+        self._lam = [lam.value for lam in self.eigs]
+        self._B = canon.reconstituted().A2.values()
+        e = [self._one] + [0] * P.n
+        for lam in self._lam:
+            e = [e[0]] + [kernels.red(e[k] + e[k - 1] * lam, p) for k in range(1, len(e))]
+        self.sigmas = tuple(P.field.elem(x) for x in e)      # sigma(A1, t) = e_t(lam)
 
     def _weights(self, a: tuple, t: int) -> dict:
-        """{k: l_t(lam_k)} without zeros."""
-        one, at = self.pair.field.one, a[t - 1]
+        """{k: l_t(lam_k)} without zeros, as raw values."""
         if a == self.eigs:
-            return {t - 1: one}
-        w = ((k, prod(((lam - s) / (at - s) for s in a if s != at), start=one))
-             for k, lam in enumerate(self.eigs))
-        return {k: v for k, v in w if not v.is_zero()}
+            return {t - 1: self._one}
+        p, at = self._p, a[t - 1].value
+        inv = {s.value: kernels.inv_scalar(at - s.value, p) for s in a if s.value != at}
+        w = ((k, kernels.red(prod(((lam - s) * d for s, d in inv.items()), start=self._one), p))
+             for k, lam in enumerate(self._lam))
+        return {k: v for k, v in w if v}
 
     def entry(self, a: tuple, i: int, j: int) -> dict:
-        """g h_ij(P) g^-1 as {(k, l): entry}, for the eigenvalue basis a."""
-        B = self._B
-        return {(k, l): x * B[k][l] * y
+        """g h_ij(P) g^-1 as {(k, l): raw entry}, for the eigenvalue basis a."""
+        B, p = self._B, self._p
+        return {(k, l): kernels.red(x * B[k][l] * y, p)
                 for k, x in self._weights(a, i).items()
-                for l, y in self._weights(a, j).items() if not B[k][l].is_zero()}
+                for l, y in self._weights(a, j).items() if B[k][l]}
 
     def value(self, poly) -> Mat:
         """g poly(P) g^-1 for an entry probe or an NcExpr of entry probes."""
-        field, n = self.pair.field, self.pair.n
-        terms = poly.terms if isinstance(poly, NcExpr) else [(field.one, (poly,))]
+        field, n, p = self.pair.field, self.pair.n, self._p
+        terms = poly.terms if isinstance(poly, NcExpr) else [(self._one, (poly,))]
         acc = {}
         for c, factors in terms:
-            term = {(k, k): field.one for k in range(n)}
+            term = {(k, k): self._one for k in range(n)}
             for f in factors:
                 if not isinstance(f, EntryProbe):
                     raise TypeError("probe factor is not an entry probe")
-                term = _sparse_product(term, self.entry(f.eigs, f.i, f.j))
+                term = _sparse_product(term, self.entry(f.eigs, f.i, f.j), p)
             for pos, v in term.items():
-                acc[pos] = acc[pos] + c * v if pos in acc else c * v
-        zero = field.zero
-        return Mat(field, [[acc.get((k, l), zero) for l in range(n)]
-                           for k in range(n)])
+                acc[pos] = acc.get(pos, 0) + c * v
+        return Mat(field, [[acc.get((k, l), 0) for l in range(n)] for k in range(n)])
 
 
-def _sparse_product(X: dict, Y: dict) -> dict:
-    """Product of two matrices held as {(row, col): entry}."""
+def _sparse_product(X: dict, Y: dict, p) -> dict:
+    """Product of two matrices held as {(row, col): raw entry}."""
     out = {}
     for (k, l), x in X.items():
         for (m, r), y in Y.items():
             if l == m:
-                out[(k, r)] = out[(k, r)] + x * y if (k, r) in out else x * y
+                out[(k, r)] = kernels.red(out.get((k, r), 0) + x * y, p)
     return out
 
 
@@ -226,7 +233,7 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
 
 
 def _type_separation(P: MatrixPair, Q: MatrixPair):
-    """type_separation's report, with P's canonical pair and both pairs'
+    """type_separation's report, with both canonical pairs and both pairs'
     evaluators, so that a caller need not canonicalize again.  canonicalize
     raises FieldTooSmallError for F_p with p < n and NotSimpleSpectrumError
     for a pair without simple spectrum."""
@@ -241,7 +248,7 @@ def _type_separation(P: MatrixPair, Q: MatrixPair):
         count += 1
         va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
         if va != vb:
-            return SeparationReport(False, probe, va, vb, count), CP, vp, vq
+            return SeparationReport(False, probe, va, vb, count), CP, CQ, vp, vq
     if CP.eigs != CQ.eigs:
         raise VerificationError("equal sigmas must force equal eigenvalues")
     for i in range(1, n + 1):
@@ -252,10 +259,10 @@ def _type_separation(P: MatrixPair, Q: MatrixPair):
             count += 1
             va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
             if va != vb:
-                return SeparationReport(False, probe, va, vb, count), CP, vp, vq
+                return SeparationReport(False, probe, va, vb, count), CP, CQ, vp, vq
     if CP.type_graph != CQ.type_graph:
         raise VerificationError("probe agreement must force equal types")
-    return _equal_report(count), CP, vp, vq
+    return _equal_report(count), CP, CQ, vp, vq
 
 
 def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
@@ -272,10 +279,10 @@ def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
     if C.star.cell(i, j) != STAR:
         raise ValueError("(%d,%d) is not a free-parameter cell" % (i, j))
     field, n, a = C.field, C.n, C.eigs
-    c = C.param(i, j)
+    c = C.param(i, j).value
     if i == j:
-        expr = NcExpr(field, [(c, ()), (field.elem(-1), (entry_probe_poly(a, i, i),))])
-        expected = 0 if c.is_zero() else n - 1
+        expr = NcExpr(field, [(c, ()), (-1, (entry_probe_poly(a, i, i),))])
+        expected = n - 1 if c else 0
         return InvariantProbe("param(%d,%d)" % (i, j), "rank", n,
                               poly=expr, expected=expected)
     path = undirected_path(C.type_graph, i, j)
@@ -295,9 +302,9 @@ def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
         coeff = c if l % 2 == 1 else -c
         terms.append((coeff, tuple(hs[k - 1] for k in w)))
     tail = tuple(hs[k - 1] for k in cert.u1) + (h0,) + tuple(hs[k - 1] for k in cert.u2)
-    terms.append((field.elem(-1), tail))
+    terms.append((-1, tail))
     expr = NcExpr(field, terms)
-    expected = 0 if c.is_zero() else (cert.r - 1) // 2
+    expected = (cert.r - 1) // 2 if c else 0
     return InvariantProbe("param(%d,%d)" % (i, j), "rank", n,
                           poly=expr, expected=expected)
 
@@ -312,7 +319,7 @@ def orbit_eq_by_ranks(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
     entry-vanishing zeta probes, then one rank probe per free parameter of P's
     canonical form, each evaluated on the input pairs in their verified
     eigenbases."""
-    rep, CP, vp, vq = _type_separation(P, Q)
+    rep, CP, CQ, vp, vq = _type_separation(P, Q)
     if not rep.equal:
         return rep
     count = rep.probes_evaluated
@@ -322,6 +329,10 @@ def orbit_eq_by_ranks(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
         va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
         if va != vb:
             return SeparationReport(False, probe, va, vb, count)
+    # both canonical forms carry exactly checked witnesses, so equal data
+    # certifies the verdict
+    if CP != CQ:
+        raise VerificationError("probes agree but the canonical forms differ")
     return _equal_report(count)
 
 
@@ -349,7 +360,7 @@ def _sample_polys(field: Field, rng: random.Random, total: int,
             w = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, combo_degree)))
             coeff = rng.randint(1, field.p - 1) if not field.is_rationals \
                 else rng.choice([v for v in range(-9, 10) if v])
-            terms[w] = field.elem(coeff) + terms.get(w, field.zero)
+            terms[w] = coeff + terms.get(w, 0)
         poly = NcPoly(field, 2, terms)
         if not poly.is_zero():
             out.append(poly)
@@ -388,8 +399,7 @@ def verify_counterexample_single_image(p: int = 5, fp_samples: int = 10_000,
             if be.is_zero():
                 ok = ok and FA == FB
             else:
-                z, o = field.zero, field.one
-                g = Mat(field, [[al, o, z], [z, al, be], [be, z, z]])
+                g = Mat(field, [[al, 1, 0], [0, al, be], [be, 0, 0]])
                 ok = ok and not det(g).is_zero() and g @ FA == FB @ g
                 conjugated += 1
             if not ok:
@@ -411,13 +421,13 @@ def verify_counterexample_single_image(p: int = 5, fp_samples: int = 10_000,
     return report
 
 
-def _l_shape_ok(M: Mat) -> bool:
+def _l_shape_ok(rows) -> bool:
     # allowed nonzero positions of the invariant subalgebra (1-based):
     # (1,1) (2,1) (2,2) (2,3) (3,3) (4,1) (4,3) (4,4)
     allowed = {(1, 1), (2, 1), (2, 2), (2, 3), (3, 3), (4, 1), (4, 3), (4, 4)}
     for i in range(1, 5):
         for j in range(1, 5):
-            if (i, j) not in allowed and not M[i - 1, j - 1].is_zero():
+            if (i, j) not in allowed and rows[i - 1][j - 1]:
                 return False
     return True
 
@@ -433,12 +443,10 @@ def verify_counterexample_sigma_zero(field: Field = QQ, a=(0, 1, 2, 3),
     beta = field.elem(beta)
     if alpha.is_zero() or beta.is_zero() or alpha == beta:
         raise ValueError("need distinct nonzero alpha, beta")
-    eigs = [field.elem(v) for v in a]
-    A1 = Mat.diag(field, eigs)
-    z, o = field.zero, field.one
+    A1 = Mat.diag(field, a)
 
     def second(c):
-        return Mat(field, [[z, z, z, z], [o, z, o, z], [z, z, z, z], [o, z, c, z]])
+        return Mat(field, [[0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 0, c, 0]])
 
     A = MatrixPair(A1, second(alpha))
     B = MatrixPair(A1, second(beta))
@@ -458,11 +466,12 @@ def verify_counterexample_sigma_zero(field: Field = QQ, a=(0, 1, 2, 3),
     for F in _sample_polys(field, rng, samples, full_degree=5, combo_degree=6):
         FA = F.eval(A.mats(), 4)
         FB = F.eval(B.mats(), 4)
-        ok = _l_shape_ok(FA) and _l_shape_ok(FB)
+        ra, rb = FA.values(), FB.values()
+        ok = _l_shape_ok(ra) and _l_shape_ok(rb)
         if ok:
             for i in range(4):
                 for j in range(4):
-                    if (i, j) != (3, 2) and FA[i, j] != FB[i, j]:
+                    if (i, j) != (3, 2) and ra[i][j] != rb[i][j]:
                         ok = False
         if ok:
             b = FA[3, 2] / alpha

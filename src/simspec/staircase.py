@@ -185,15 +185,13 @@ def _reduce(S: ThreeDiagSeq):
 def _single_entry_pos(M: Mat):
     """(i, j) 1-based if M = E_ij, else None."""
     pos = None
-    one = M.field.one
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            e = M[i, j]
-            if e.is_zero():
+    for i, row in enumerate(M.values(), start=1):
+        for j, e in enumerate(row, start=1):
+            if not e:
                 continue
-            if e != one or pos is not None:
+            if e != 1 or pos is not None:
                 return None
-            pos = (i + 1, j + 1)
+            pos = (i, j)
     return pos
 
 
@@ -314,7 +312,7 @@ def cert_matrix(S: ThreeDiagSeq, cert: StaircaseCert, alpha, field: Field) -> Ma
     for l, w in enumerate(cert.ws, start=1):
         val = eval_word(w, mats)
         acc = acc + (val if l % 2 == 1 else -val)
-    return acc + sandwich * field.elem(alpha)
+    return acc + sandwich * alpha
 
 
 def verify_cert(S: ThreeDiagSeq, cert: StaircaseCert, alphas, field: Field = QQ) -> bool:
@@ -322,10 +320,9 @@ def verify_cert(S: ThreeDiagSeq, cert: StaircaseCert, alphas, field: Field = QQ)
     (r-1)/2 at alpha = -1 and (r+1)/2 elsewhere, and the degree bounds hold."""
     if not _check_degrees(S, cert):
         return False
-    minus_one = field.elem(-1)
     for alpha in alphas:
-        a = field.elem(alpha)
-        expected = (cert.r - 1) // 2 if a == minus_one else (cert.r + 1) // 2
+        a = field.raw(alpha)
+        expected = (cert.r - 1) // 2 if a == field.raw(-1) else (cert.r + 1) // 2
         if rank(cert_matrix(S, cert, a, field)) != expected:
             return False
     return True

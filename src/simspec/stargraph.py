@@ -197,13 +197,9 @@ def matches(S: StarMatrix, M) -> bool:
     """True iff M has 0 at every 0 cell and 1 at every 1 cell of S."""
     if S.n != M.nrows or S.n != M.ncols:
         raise ValueError("size mismatch")
-    one = M.field.one
-    for i in range(1, S.n + 1):
-        for j in range(1, S.n + 1):
-            sym = S.cell(i, j)
-            if sym == ZERO and not M[i - 1, j - 1].is_zero():
-                return False
-            if sym == ONE and M[i - 1, j - 1] != one:
+    for syms, row in zip(S.cells, M.values()):
+        for sym, x in zip(syms, row):
+            if (sym == ZERO and x) or (sym == ONE and x != 1):
                 return False
     return True
 

@@ -1,7 +1,12 @@
-"""The small matrix ops of simspec.kernels against independent oracles, over
-Q and F_p, and the two lanes of the GL_n(F_p) search."""
+"""The small matrix ops and the word evaluator of simspec.kernels against
+independent oracles, over Q and F_p, and the two lanes of the GL_n(F_p)
+search."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import prod
 
@@ -157,29 +162,30 @@ def test_charpoly_against_oracles(rng):
 
 
 def test_eval_words_against_naive(rng):
-    p = 7
+    for p in (7, None):
+        _check_eval_words(rng, p)
+
+
+def _check_eval_words(rng, p):
     for _ in range(20):
         n = rng.choice([2, 3])
         m = rng.choice([1, 2, 3])
-        mats = [np.array(_rand(rng, n, n, p), dtype=np.int64) for _ in range(m)]
+        mats = [_rand(rng, n, n, p) for _ in range(m)]
         words = [[rng.randrange(m) for _ in range(rng.randint(0, 5))]
                  for _ in range(rng.randint(1, 8))]
-        coeffs = [rng.randrange(p) for _ in words]
+        coeffs = [_red(rng.randrange(7), p) for _ in words]
         flat, offs = [], [0]
         for w in words:
             flat.extend(w)
             offs.append(len(flat))
-        got = kernels.eval_words_mod(np.array(flat, dtype=np.int64),
-                                     np.array(offs, dtype=np.int64),
-                                     np.array(coeffs, dtype=np.int64),
-                                     np.stack(mats), p)
-        want = np.zeros((n, n), dtype=np.int64)
+        got = kernels.eval_words_mod(flat, offs, coeffs, mats, p)
+        want = [[_red(0, p)] * n for _ in range(n)]
         for w, c in zip(words, coeffs):
-            acc = np.eye(n, dtype=np.int64)
+            acc = [[_red(int(i == j), p) for j in range(n)] for i in range(n)]
             for k in w:
-                acc = acc @ mats[k] % p
-            want = (want + c * acc) % p
-        assert (got == want).all()
+                acc = _product(acc, mats[k], p)
+            want = [[_red(x + c * y, p) for x, y in zip(rw, ra)] for rw, ra in zip(want, acc)]
+        assert got == want and _exact(got, p)
 
 
 @pytest.mark.parametrize("lane_name,lane", LANES)
@@ -223,3 +229,34 @@ def test_lanes_agree_on_search(rng):
         res_np = kernels.IMPLS["numpy"]["conjugator_search"](*mats, p)
         res_nb = kernels.IMPLS["numba"]["conjugator_search"](*mats, p)
         assert res_np[0] == res_nb[0] and res_np[1] == res_nb[1]
+
+
+def test_numpy_stays_off_the_import_path():
+    """Only the GL_n(F_p) search loads numpy: importing simspec and its CLI,
+    canonicalizing, deciding and evaluating polynomials over F_7 and Q leave
+    it unloaded, and find_conjugator loads it and still answers."""
+    code = textwrap.dedent("""
+        import random, sys
+        import simspec, simspec.cli
+        from simspec import (QQ, MatrixPair, NcPoly, PrimeField, canonicalize,
+                             find_conjugator, orbit_eq_by_ranks)
+        from simspec.sampling import random_simple_spectrum_pair
+        rng = random.Random(1)
+        for field in (PrimeField(7), QQ):
+            P = random_simple_spectrum_pair(field, 3, rng)
+            Q = random_simple_spectrum_pair(field, 3, rng)
+            canonicalize(P)
+            orbit_eq_by_ranks(P, P)
+            orbit_eq_by_ranks(P, Q)
+            NcPoly.word(field, (1, 2, 1), m=2).eval(P.mats())
+        print("numpy" in sys.modules)
+        P = random_simple_spectrum_pair(PrimeField(3), 2, rng)
+        g, count = find_conjugator(P, P)
+        print(g is not None and count == 48, "numpy" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.split() == ["False", "True", "True"]

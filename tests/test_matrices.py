@@ -171,6 +171,35 @@ def test_eigs_rational_fractions():
     assert eigs_in_field(M) == [(QQ.elem(Fraction(-3, 4)), 1), (QQ.elem(Fraction(1, 2)), 1)]
 
 
+def test_rational_root_search_is_bounded():
+    """The divisor scan for rational eigenvalues is refused, at once, when it
+    would pass MAX_ROOT_SCAN trial divisions; below that it still answers."""
+    import time
+
+    from simspec.canonical import MatrixPair, canonicalize
+
+    g = Mat(QQ, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    A2 = Mat(QQ, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    a = 10 ** 10 + 19
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceGuardError):
+        canonicalize(MatrixPair(conjugate(g, Mat.diag(QQ, [1, a, a + 2])), A2))
+    assert time.perf_counter() - t0 < 1.0
+    a = 10 ** 6 + 3          # sqrt(a (a + 2)) < 2^20
+    A1 = conjugate(g, Mat.diag(QQ, [1, a, a + 2]))
+    assert eigs_in_field(A1) == [(QQ.elem(v), 1) for v in (1, a, a + 2)]
+    assert canonicalize(MatrixPair(A1, A2)).canon.eigs == tuple(QQ.elem(v) for v in (1, a, a + 2))
+
+
+def test_rational_entries_are_fractions():
+    """Q entries are stored as Fractions, never ints (1 / int is a float)."""
+    from simspec.ncpoly import NcPoly
+
+    A, B = Mat(QQ, [[2, 1], [1, 1]]), Mat(QQ, [[1, 0], [3, 1]])
+    for M in (A, inverse(A), A @ B, NcPoly.word(QQ, (1, 2), m=2).eval((A, B))):
+        assert all(type(x) is Fraction for row in M.values() for x in row)
+
+
 def test_diagonalizer_examples():
     A = Mat.diag(QQ, [0, 1, 2])
     g, eigs = diagonalizer(A)
@@ -278,9 +307,9 @@ def test_inverse_roundtrip(rng, field):
 
 def test_int64_overflow_guard_at_large_p():
     """At p = 4294967291, where int64 sums of products overflow, the small ops
-    on Python ints are exact, checked against Python-int arithmetic here;
-    canonicalize's residue scan refuses such a p at once, and the int64
-    kernels behind find_conjugator and NcPoly.eval still refuse it."""
+    and NcPoly.eval on Python ints are exact, checked against Python-int
+    arithmetic here; canonicalize's residue scan refuses such a p at once,
+    and the int64 search behind find_conjugator still refuses it."""
     import time
 
     from simspec.canonical import MatrixPair, canonicalize, find_conjugator
@@ -322,8 +351,7 @@ def test_int64_overflow_guard_at_large_p():
     assert time.perf_counter() - t0 < 1.0
     with pytest.raises(ResourceGuardError):
         find_conjugator(P, P)
-    with pytest.raises(ResourceGuardError):
-        NcPoly.word(big, (1, 2), m=2).eval((A, B))
+    assert NcPoly.word(big, (1, 2), m=2).eval((A, B)) == Mat(big, product(X, Y))
 
     p = 1_000_000_007          # 5 (p - 1)^2 < 2^63
     F = PrimeField(p)

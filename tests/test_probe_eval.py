@@ -6,7 +6,7 @@ import random
 import pytest
 
 from simspec.canonical import MatrixPair, canonicalize
-from simspec.fields import QQ, PrimeField
+from simspec.fields import QQ, FieldElement, PrimeField
 from simspec.idempotents import EntryProbe, entry_probe_poly, idempotent_poly
 from simspec.matrices import Mat, conjugate, inverse, rank, sigma
 from simspec.ncpoly import NcExpr, NcPoly
@@ -151,7 +151,7 @@ def test_entry_values_in_the_probes_basis_are_single_entries():
     for i in range(1, 5):
         for j in range(1, 5):
             b = B[i - 1, j - 1]
-            want = {} if b.is_zero() else {(i - 1, j - 1): b}
+            want = {} if b.is_zero() else {(i - 1, j - 1): b.value}
             assert values.entry(C.eigs, i, j) == want
 
 
@@ -203,7 +203,9 @@ def test_evaluator_belongs_to_its_pair():
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 def test_rank_decision_matmul_budget(monkeypatch, field):
     """Outside its two canonicalize calls, an n = 5 equal decision does no
-    matmul and computes no characteristic polynomial."""
+    matmul and computes no characteristic polynomial.  It makes FieldElements
+    only for the data it reports (eigenvalues, parameters, sigma values): 64
+    on this pair, under a ceiling of 454 over Q and 379 over F_7."""
     rng = random.Random(11)
     n = 5
     P = random_simple_spectrum_pair(field, n, rng)
@@ -233,10 +235,19 @@ def test_rank_decision_matmul_budget(monkeypatch, field):
             outside["charpoly"] += 1
         return charpoly(M)
 
+    elements = [0]
+    element_init = FieldElement.__init__
+
+    def counted_element(self, field, value):
+        elements[0] += 1
+        element_init(self, field, value)
+
     monkeypatch.setattr(separators, "canonicalize", counted_canon)
     monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
     monkeypatch.setattr(matrices, "charpoly", counted_charpoly)
+    monkeypatch.setattr(FieldElement, "__init__", counted_element)
     rep = orbit_eq_by_ranks(P, Q)
     assert rep.equal
     assert rep.probes_evaluated == n * n + stars
     assert outside == {"matmul": 0, "charpoly": 0, "canonicalize": 2}
+    assert elements[0] <= (454 if field.is_rationals else 379)

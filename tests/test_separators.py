@@ -13,11 +13,14 @@ from simspec.sampling import (
     random_matrix,
     random_simple_spectrum_pair,
 )
+from simspec import separators
+from simspec.errors import VerificationError
 from simspec.separators import (
     build_param_probe,
     orbit_eq_by_ranks,
     param_probes,
     rank_indicator,
+    sigma_probe,
     type_separation,
     verify_counterexample_sigma_zero,
     verify_counterexample_single_image,
@@ -354,3 +357,17 @@ def test_counterexample_sigma_zero_quick():
     assert rep["star_rows"] == ["*000", "1*10", "***0", "1***"]
     with pytest.raises(ValueError):
         verify_counterexample_sigma_zero(alpha=1, beta=1)
+
+
+def test_equal_verdict_requires_equal_canonical_forms(monkeypatch):
+    """An equal verdict is reported only when both canonical forms agree: with
+    parameter probes that cannot see the parameters, a pair differing in one
+    parameter reads equal on every probe, and the decision refuses it."""
+    A1 = Mat.diag(QQ, [0, 1])
+    P = MatrixPair(A1, Mat(QQ, [[5, 1], [1, 0]]))
+    Q = MatrixPair(A1, Mat(QQ, [[6, 1], [1, 0]]))
+    assert not orbit_eq_by_ranks(P, Q).equal
+    monkeypatch.setattr(separators, "build_param_probe",
+                        lambda C, i, j: sigma_probe(C.n, 1))
+    with pytest.raises(VerificationError):
+        orbit_eq_by_ranks(P, Q)
