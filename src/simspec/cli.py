@@ -24,7 +24,7 @@ from .canonical import (
 )
 from .errors import InputFormatError, SimspecError, VerificationError
 from .fields import QQ, PrimeField, parse_field
-from .matrices import conjugate
+from .matrices import conjugate, order_gl, rank
 from .sampling import random_invertible, random_simple_spectrum_pair
 from .separators import (
     orbit_eq_by_ranks,
@@ -68,6 +68,11 @@ def _emit(obj) -> None:
     print(dumps(obj))
 
 
+def _brute_feasible(n: int, p: int, max_order: int) -> bool:
+    """Whether a suite or method list that includes the brute oracle runs it."""
+    return n <= 3 and order_gl(n, p) <= max_order
+
+
 def _cmd_canonicalize(args) -> int:
     res = canonicalize(_load_pair(args.pair))
     _emit(canon_result_to_json(res))
@@ -87,7 +92,8 @@ def _cmd_orbit_eq(args) -> int:
         rep = orbit_eq_by_ranks(P, Q)
         verdicts["rank"] = rep.equal
         out["rank_report"] = rep.to_json()
-    if args.method == "brute" or (args.method == "all" and not P.field.is_rationals):
+    if args.method == "brute" or (args.method == "all" and not P.field.is_rationals
+                                  and _brute_feasible(P.n, P.field.p, args.max_gl_order)):
         verdicts["brute"] = orbit_eq_brute(P, Q, max_order=args.max_gl_order)
     out["verdicts"] = verdicts
     values = set(verdicts.values())
@@ -134,7 +140,6 @@ def _cmd_staircase(args) -> int:
     table = []
     for a in alphas:
         expected = (cert.r - 1) // 2 if a == minus_one else (cert.r + 1) // 2
-        from .matrices import rank
         actual = rank(cert_matrix(S, cert, a, field))
         table.append({"alpha": serialize.scalar_to_json(a),
                       "expected_rank": expected, "rank": actual,
@@ -192,7 +197,7 @@ def _verify_counterexamples(args) -> dict:
 def _verify_oracle(args) -> dict:
     field = PrimeField(args.p)
     rng = random.Random(args.seed)
-    brute_feasible = args.n <= 3
+    brute_feasible = _brute_feasible(args.n, args.p, args.max_gl_order)
     agree = 0
     for _ in range(args.trials):
         P = random_simple_spectrum_pair(field, args.n, rng)

@@ -58,20 +58,28 @@ def idempotent_poly(a, t: int) -> NcPoly:
 class EntryProbe(NcPoly):
     """H_i x2 H_j as an NcPoly in two letters, tagged with (a, i, j).
 
-    Equality, hashing and text are those of the underlying NcPoly; the tag
-    only tells an evaluator which entry of the per-pair table to read.
+    Equality, hashing and text are those of the expanded NcPoly, built on first
+    use; the tag tells an evaluator which table entry to read, and the degree
+    is deg H_i + 1 + deg H_j, exact as the words x1^k x2 x1^l never cancel.
     """
 
-    __slots__ = ("eigs", "i", "j")
+    __slots__ = ("eigs", "i", "j", "formal_degree", "_factors", "_expanded")
 
     def __init__(self, a: tuple, i: int, j: int):
-        field = a[0].field
-        x2 = NcPoly.letter(field, 2, m=2)
-        out = _idempotent_cached(a, i) * x2 * _idempotent_cached(a, j)
-        super().__init__(field, 2, out._terms)
-        object.__setattr__(self, "eigs", a)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
+        hi, hj = _idempotent_cached(a, i), _idempotent_cached(a, j)
+        degree = hi.formal_degree + 1 + hj.formal_degree
+        for name, val in (("field", a[0].field), ("m", 2), ("_hash", None), ("eigs", a),
+                          ("i", i), ("j", j), ("formal_degree", degree),
+                          ("_factors", (hi, hj)), ("_expanded", None)):
+            object.__setattr__(self, name, val)
+
+    @property
+    def _terms(self) -> dict:
+        if self._expanded is None:
+            hi, hj = self._factors
+            out = hi * NcPoly.letter(self.field, 2, m=2) * hj
+            object.__setattr__(self, "_expanded", out._terms)
+        return self._expanded
 
 
 @lru_cache(maxsize=256)

@@ -2,10 +2,10 @@
 word evaluator, and the GL_n(F_p) search kernels.
 
 matmul_mod, rref_mod, rank_mod, det_mod, inverse_mod, charpoly_mod and
-eval_words_mod take lists of rows of raw values: Python ints already reduced
-mod p, or ``Fraction``s when p is None.  Python ints never overflow, so they
-are exact at every p.  Over Q every inverse starts from ``Fraction(1)``:
-``1 / x`` with an int x would give an inexact float.
+eval_words_mod take rows of raw values: Python ints reduced mod p, exact at
+every p, or rationals when p is None.  Over Q the first six run on ints under
+one denominator per row (per matrix in charpoly_mod), eliminate fraction-free
+(Bareiss), and make ``Fraction``s, never ints, only for rational outputs.
 
 numpy is used only by conjugator_search_mod (the GL_n(F_p) oracle), on int64
 arrays, and is imported on its first call, so importing simspec does not load
@@ -19,18 +19,15 @@ from __future__ import annotations
 import importlib.util
 from fractions import Fraction
 from functools import cache
+from math import lcm, prod
 from operator import mul
 
 USE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 # ---------------------------------------------------------------------------
-# small dense ops on lists of rows (p None: Fractions over Q)
+# small dense ops on lists of rows (p None: Q, computed on ints)
 # ---------------------------------------------------------------------------
-
-def _zero_one(p):
-    return (0, 1) if p is not None else (Fraction(0), Fraction(1))
-
 
 def red(x, p):
     """x reduced mod p; unchanged over Q."""
@@ -42,23 +39,55 @@ def inv_scalar(x, p):
     return Fraction(1) / x if p is None else pow(x, -1, p)
 
 
-def _row_op(row, f, prow, p):
-    """row - f * prow, reduced."""
-    if p is None:
-        return [x - f * y for x, y in zip(row, prow)]
-    return [(x - f * y) % p for x, y in zip(row, prow)]
+def _ints(row):
+    """(ints, d): the rational row times d, the lcm of its denominators."""
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _bareiss(M):
+    """Fraction-free Gauss-Jordan on int rows M, in place (Bareiss, Math.
+    Comp. 22, 1968): each update divides exactly by the previous pivot, so the
+    entries stay minors of M, and M ends as d times its RREF, d the last
+    pivot.  Returns (pivot columns, d, swap sign); det M = sign * d at full rank."""
+    nrows, ncols = len(M), len(M[0])
+    pivots, prev, sign = [], 1, 1
+    for col in range(ncols):
+        piv = len(pivots)
+        if piv == nrows:
+            break
+        sel = next((r for r in range(piv, nrows) if M[r][col]), None)
+        if sel is None:
+            continue
+        if sel != piv:
+            M[piv], M[sel] = M[sel], M[piv]
+            sign = -sign
+        prow, d = M[piv], M[piv][col]
+        for r in range(nrows):
+            if r != piv:
+                f = M[r][col]
+                M[r] = [(d * x - f * y) // prev for x, y in zip(M[r], prow)]
+        pivots.append(col)
+        prev = d
+    return pivots, prev, sign
 
 
 def matmul_mod(A, B, p):
-    cols = list(zip(*B))
     if p is None:
-        return [[sum(map(mul, row, col)) for col in cols] for row in A]
+        cols = [_ints(col) for col in zip(*B)]
+        return [[Fraction(sum(map(mul, row, col)), d * e) for col, e in cols]
+                for row, d in map(_ints, A)]
+    cols = list(zip(*B))
     return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
 
 
 def rref_mod(A, p):
     """(reduced row echelon form, pivot columns) of A; first-nonzero
-    pivoting, so the result is deterministic."""
+    pivoting, so the result is deterministic.  Over Q, of A's rows as ints."""
+    if p is None:
+        M = [_ints(row)[0] for row in A]
+        pivots, d, _ = _bareiss(M)
+        return [[Fraction(x, d) for x in row] for row in M], pivots
     R = [list(r) for r in A]
     nrows, ncols = len(R), len(R[0])
     pivots = []
@@ -70,12 +99,12 @@ def rref_mod(A, p):
         if sel is None:
             continue
         R[piv], R[sel] = R[sel], R[piv]
-        inv = inv_scalar(R[piv][col], p)
-        prow = R[piv] = [x * inv for x in R[piv]] if p is None \
-            else [x * inv % p for x in R[piv]]
+        inv = pow(R[piv][col], -1, p)
+        prow = R[piv] = [x * inv % p for x in R[piv]]
         for r in range(nrows):
             if r != piv and R[r][col]:
-                R[r] = _row_op(R[r], R[r][col], prow, p)
+                f = R[r][col]
+                R[r] = [(x - f * y) % p for x, y in zip(R[r], prow)]
         pivots.append(col)
     return R, pivots
 
@@ -88,50 +117,54 @@ _matmul = matmul_mod
 
 
 def rank_mod(A, p):
-    return len(_rref(A, p)[1])
+    return len(_bareiss([_ints(row)[0] for row in A])[0] if p is None else _rref(A, p)[1])
 
 
 def det_mod(A, p):
-    """Determinant by elimination with swap sign tracking."""
+    """Determinant by elimination with swap sign tracking; over Q, _bareiss."""
+    if p is None:
+        rows = list(map(_ints, A))
+        pivots, d, sign = _bareiss([row for row, _ in rows])
+        return Fraction(sign * d if len(pivots) == len(A) else 0, prod(e for _, e in rows))
     M = [list(r) for r in A]
     n = len(M)
-    zero, d = _zero_one(p)
+    d = 1
     for col in range(n):
         sel = next((r for r in range(col, n) if M[r][col]), None)
         if sel is None:
-            return zero
+            return 0
         if sel != col:
             M[col], M[sel] = M[sel], M[col]
             d = -d
         d = d * M[col][col]
-        inv = inv_scalar(M[col][col], p)
+        inv = pow(M[col][col], -1, p)
         for r in range(col + 1, n):
             if M[r][col]:
-                M[r] = _row_op(M[r], M[r][col] * inv, M[col], p)
-    return d if p is None else d % p
+                f = M[r][col] * inv
+                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[col])]
+    return d % p
 
 
 def inverse_mod(A, p):
     """A^-1 by Gauss-Jordan on [A | I], or None when A is singular."""
     n = len(A)
-    zero, one = _zero_one(p)
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(A)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     R, pivots = _rref(aug, p)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in R]
+    return [row[n:] for row in R] if pivots == list(range(n)) else None
 
 
 def charpoly_mod(A, p):
     """Coefficients [1, c1, ..., cn] of det(xI - A), by the division-free
-    Berkowitz recursion (valid in every characteristic)."""
+    Berkowitz recursion (valid in every characteristic).  Over Q it runs on
+    the ints N = dA, d the lcm of A's denominators: c_k(A) = c_k(N) / d^k."""
     n = len(A)
-    zero, one = _zero_one(p)
-    poly = [one]
+    if p is None:
+        flat, d = _ints([x for row in A for x in row])
+        A = [flat[k:k + n] for k in range(0, n * n, n)]
+    poly = [1]
     for k in range(1, n + 1):
         top = n - k
-        diags = [one, red(-A[top][top], p)]
+        diags = [1, red(-A[top][top], p)]
         if k > 1:
             R = A[top][top + 1:]
             vec = [A[r][top] for r in range(top + 1, n)]
@@ -140,17 +173,17 @@ def charpoly_mod(A, p):
                 diags.append(red(-sum(map(mul, R, vec)), p))
                 if i < k:
                     vec = [red(sum(map(mul, row, vec)), p) for row in sub]
-        poly = [red(sum((diags[i - j] * pj for j, pj in enumerate(poly)
-                         if 0 <= i - j <= k), zero), p)
+        poly = [red(sum(diags[i - j] * pj for j, pj in enumerate(poly)
+                        if 0 <= i - j <= k), p)
                 for i in range(k + 1)]
-    return poly
+    return poly if p is not None else [Fraction(c, d ** k) for k, c in enumerate(poly)]
 
 
 def eval_words_mod(flat, offs, coeffs, mats, p):
     """sum_w coeffs[w] * prod(mats[flat[offs[w]:offs[w+1]]]), the empty
     product being the identity.  Prefix products are memoized, so words
     sharing a prefix share its products."""
-    zero, one = _zero_one(p)
+    zero, one = (0, 1) if p is not None else (Fraction(0), Fraction(1))
     n = len(mats[0])
     memo = {(): [[one if i == j else zero for j in range(n)] for i in range(n)]}
     acc = [[zero] * n for _ in range(n)]

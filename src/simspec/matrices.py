@@ -8,15 +8,15 @@ FieldElements are made only at the API edge: ``M[i, j]``, ``M.rows``, and the
 scalars that det, charpoly, sigma, eigs_in_field and nullspace_basis return.
 First-nonzero pivoting everywhere, so results are deterministic.
 Eigenvalues in F_p come from a scan of the residues, rational eigenvalues
-from the divisors of two coefficients; both searches are bounded by
-MAX_ROOT_SCAN.
+from the divisors of two coefficients, tested by integer Horner; both scans
+stop once the polynomial is split and are bounded by MAX_ROOT_SCAN.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, prod
 
 from . import kernels
 from .errors import (
@@ -249,37 +249,34 @@ def _divide_out(coeffs, root, p):
 
 def _divisors(m: int) -> list[int]:
     m = abs(m)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
 def _rational_roots(coeffs) -> list:
     """Roots in Q of a monic polynomial with Fraction coefficients, with
     multiplicities, ascending.  The candidates r/s come from the divisors of
     the scaled constant term and leading coefficient, found by trial
-    division; refused when either needs more than MAX_ROOT_SCAN trials."""
+    division; refused when either needs more than MAX_ROOT_SCAN trials.
+    Candidates are tested by integer Horner until the polynomial is split."""
     mult0, poly = _divide_out(coeffs, 0, None)
     found = [(Fraction(0), mult0)] if mult0 else []
     if len(poly) > 1:
-        scale = lcm(*[c.denominator for c in poly])
-        ints = [int(c * scale) for c in poly]
+        ints = kernels._ints(poly)[0]
         if max(isqrt(abs(ints[0])), isqrt(abs(ints[-1]))) > MAX_ROOT_SCAN:
             raise ResourceGuardError(
                 "rational root search over the divisors of %d and %d exceeds "
                 "the scan limit %d" % (ints[-1], ints[0], MAX_ROOT_SCAN))
-        candidates = {Fraction(sign * r, s) for r in _divisors(ints[-1])
-                      for s in _divisors(ints[0]) for sign in (1, -1)}
-        for cand in sorted(candidates):
-            mult, poly = _divide_out(poly, cand, None)
-            if mult:
-                found.append((cand, mult))
+        for s, r, sign in itertools.product(_divisors(ints[0]), _divisors(ints[-1]), (1, -1)):
+            if len(poly) == 1:
+                break
+            acc = 0                 # s^deg f(sign r / s), by integer Horner
+            for k, c in enumerate(ints):
+                acc = acc * sign * r + c * s ** k
+            if acc == 0:
+                mult, poly = _divide_out(poly, Fraction(sign * r, s), None)
+                if mult:
+                    found.append((Fraction(sign * r, s), mult))
     return sorted(found)
 
 
@@ -362,11 +359,7 @@ def conjugate(g: Mat, target):
 # ---------------------------------------------------------------------------
 
 def order_gl(n: int, p: int) -> int:
-    pn = p ** n
-    out = 1
-    for i in range(n):
-        out *= pn - p ** i
-    return out
+    return prod(p ** n - p ** i for i in range(n))
 
 
 def enumerate_GL(n: int, p: int, max_order: int = DEFAULT_GL_GUARD):

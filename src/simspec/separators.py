@@ -113,7 +113,8 @@ class ProbeEvaluator:
                 term = _sparse_product(term, self.entry(f.eigs, f.i, f.j), p)
             for pos, v in term.items():
                 acc[pos] = acc.get(pos, 0) + c * v
-        return Mat(field, [[acc.get((k, l), 0) for l in range(n)] for k in range(n)])
+        zero = field.raw(0)
+        return Mat(field, [[acc.get((k, l), zero) for l in range(n)] for k in range(n)])
 
 
 def _sparse_product(X: dict, Y: dict, p) -> dict:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +144,58 @@ def test_orbit_invariance_rationals(rng):
         g = random_invertible(QQ, n, rng, height=3)
         Q = MatrixPair(*conjugate(g, P.mats()))
         assert canonicalize(Q).canon == canonicalize(P).canon
+
+
+def _fraction_product(X, Y):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def _leibniz_det(X):
+    n = len(X)
+    return sum((-1) ** sum(s[k] > s[l] for k in range(n) for l in range(k + 1, n))
+               * math.prod(X[k][s[k]] for k in range(n))
+               for s in itertools.permutations(range(n)))
+
+
+def test_canonicalize_rational_edge_inputs(rng):
+    """Q inputs that no random pair produces: A1 with non-integer entries and
+    with negative, zero and fractional eigenvalues, a zero A2, and
+    eigenvalues near the root-scan guard.  The witness is checked with plain
+    Fraction arithmetic, and the canonical data is the same on conjugates."""
+    a = 10 ** 6 + 3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        ([Fraction(-3, 2), 0, Fraction(5, 7)],
+         [[half, 2, 0], [third, 0, -1], [0, 4, Fraction(7, 5)]]),
+        ([-4, 0, third, 2], [[0] * 4 for _ in range(4)]),
+        ([-1, 0], [[0, 3], [Fraction(-2, 9), 1]]),
+        ([1, a, a + 2], [[1, 2, 0], [0, 1, 3], [4, 0, 1]]),
+        ([Fraction(-7, 3), -1, 0, half, 5], [[Fraction(i + 1, j + 2) if i <= j else 0
+                                              for j in range(5)] for i in range(5)]),
+    ]
+    g = Mat(QQ, [[1, half, 0, 0, 0], [0, 1, -third, 0, 0], [Fraction(1, 5), 0, 1, 0, 0],
+                 [0, 0, 0, 1, 2], [0, 0, 0, 0, 1]])
+    for eigs, A2 in cases:
+        n = len(eigs)
+        gn = Mat(QQ, [row[:n] for row in g.values()[:n]])
+        P = MatrixPair(conjugate(gn, Mat.diag(QQ, eigs)), Mat(QQ, A2))
+        assert any(x.denominator != 1 for row in P.A1.values() for x in row)
+        res = canonicalize(P)
+        C = res.canon
+        assert [e.value for e in C.eigs] == sorted(Fraction(e) for e in eigs)
+        G = res.g.values()
+        D = [[C.eigs[i].value if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        B = C.reconstituted().A2.values()
+        assert _leibniz_det(G) != 0
+        assert _fraction_product(G, P.A1.values()) == _fraction_product(D, G)
+        assert _fraction_product(G, P.A2.values()) == _fraction_product(B, G)
+        assert all(type(x) is Fraction for row in G + B for x in row)
+        if not any(map(any, A2)):
+            assert all(v.is_zero() for _, v in C.params) and C.type_graph == Digraph(n, [])
+        for _ in range(2):
+            h = random_invertible(QQ, n, rng, height=5)
+            assert canonicalize(MatrixPair(*conjugate(h, P.mats()))).canon == C
 
 
 def test_orbit_eq_brute_examples(rng):

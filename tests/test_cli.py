@@ -6,7 +6,7 @@ import pytest
 
 from simspec.cli import main
 from simspec.fields import QQ, PrimeField
-from simspec.matrices import Mat
+from simspec.matrices import Mat, conjugate
 from simspec.canonical import MatrixPair
 from simspec.serialize import dumps, pair_from_json, pair_to_json
 
@@ -129,6 +129,36 @@ def test_verify_oracle_suite(capsys):
                               "--p", "3", "--trials", "10", "--seed", "5"])
     assert code == 0
     assert json.loads(out)["agreements"] == 10
+
+
+def test_verify_oracle_defaults_leave_out_infeasible_brute(capsys):
+    """With its defaults (n = 3 over F_7) GL_3(F_7) is above the search guard,
+    so the suite runs without the brute oracle; over F_5 it includes it."""
+    code, out = _run(capsys, ["verify", "--suite", "oracle", "--trials", "5"])
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] and doc["n"] == 3 and doc["p"] == 7
+    assert doc["brute_included"] is False
+    code, out = _run(capsys, ["verify", "--suite", "oracle", "--p", "5", "--trials", "1"])
+    assert code == 0 and json.loads(out)["brute_included"] is True
+
+
+def test_orbit_eq_all_leaves_out_infeasible_brute(capsys, pair_files):
+    """--method all over F_7 at n = 4 reports its canonical and rank verdicts
+    without the brute oracle; --method brute still refuses the search."""
+    F7 = PrimeField(7)
+    A2 = Mat(F7, [[1, 2, 0, 3], [4, 0, 1, 0], [0, 5, 2, 1], [6, 0, 0, 1]])
+    P = MatrixPair(Mat.diag(F7, [0, 1, 2, 3]), A2)
+    g = Mat(F7, [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [1, 0, 0, 2]])
+    Q = MatrixPair(*conjugate(g, P.mats()))
+    R = MatrixPair(P.A1, A2 + Mat.unit(F7, 4, 4, 4))
+    p, q, r = pair_files("p.json", P), pair_files("q.json", Q), pair_files("r.json", R)
+    code, out = _run(capsys, ["orbit-eq", p, q, "--method", "all"])
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {"canonical": True, "rank": True}
+    code, out = _run(capsys, ["orbit-eq", p, r, "--method", "all"])
+    assert code == 1
+    assert json.loads(out)["verdicts"] == {"canonical": False, "rank": False}
+    assert main(["orbit-eq", p, q, "--method", "brute"]) == 2
 
 
 def test_verify_counterexamples_quick(capsys):

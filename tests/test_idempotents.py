@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from simspec.canonical import MatrixPair
 from simspec.fields import QQ, PrimeField
-from simspec.idempotents import entry_probe_poly, idempotent_poly
-from simspec.matrices import Mat, inverse
+from simspec.idempotents import EntryProbe, entry_probe_poly, idempotent_poly
+from simspec.matrices import Mat, conjugate, inverse
 from simspec.ncpoly import NcPoly
-from simspec.sampling import random_matrix
+from simspec.sampling import random_invertible, random_matrix, random_simple_spectrum_pair
+from simspec.separators import orbit_eq_by_ranks
 
 
 # independent construction: solve the n x n power-basis system B y = e_t with
@@ -127,3 +130,42 @@ def test_rejects_repeated_eigenvalues():
         idempotent_poly((QQ.one, QQ.one), 1)
     with pytest.raises(ValueError):
         entry_probe_poly((QQ.zero, QQ.zero), 1, 2)
+
+
+def test_lazy_entry_probe_matches_eager_product(rng, field):
+    """An entry probe expands its terms only when asked; whichever question
+    comes first (equality, hash, text, terms, eval), the answer is that of the
+    product H_i x2 H_j, and the certified degree is the product's."""
+    x2 = NcPoly.letter(field, 2, m=2)
+    for n in range(2, 6):
+        a = _sample_eigs(field, n, rng)
+        A = [Mat.diag(field, a), random_matrix(field, n, rng)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                eager = idempotent_poly(a, i) * x2 * idempotent_poly(a, j)
+                assert EntryProbe(a, i, j).formal_degree == eager.formal_degree == 2 * n - 1
+                assert EntryProbe(a, i, j) == eager and eager == EntryProbe(a, i, j)
+                assert hash(EntryProbe(a, i, j)) == hash(eager)
+                assert repr(EntryProbe(a, i, j)) == repr(eager)
+                assert EntryProbe(a, i, j).terms() == eager.terms()
+                assert EntryProbe(a, i, j).eval(A) == eager.eval(A)
+                assert entry_probe_poly(a, i, j) == eager
+
+
+def test_equal_decision_expands_no_entry_probe(monkeypatch, field):
+    """An equal n = 5 rank decision evaluates every probe but only reads the
+    entry probes' tags and degrees: none is expanded into words."""
+    expanded = []
+    terms = EntryProbe._terms
+
+    def counted(self):
+        expanded.append((self.i, self.j))
+        return terms.fget(self)
+
+    monkeypatch.setattr(EntryProbe, "_terms", property(counted))
+    rng = random.Random(5)
+    P = random_simple_spectrum_pair(field, 5, rng)
+    Q = MatrixPair(*conjugate(random_invertible(field, 5, rng), P.mats()))
+    rep = orbit_eq_by_ranks(P, Q)
+    assert rep.equal and rep.probes_evaluated > 25
+    assert expanded == []

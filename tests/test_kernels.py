@@ -161,6 +161,82 @@ def test_charpoly_against_oracles(rng):
         assert [int(x) % p for x in over_q] == mod_p
 
 
+def _gauss_jordan(A):
+    """Naive Fraction Gauss-Jordan: (RREF, pivot columns)."""
+    R = [[Fraction(x) for x in row] for row in A]
+    pivots = []
+    for col in range(len(R[0])):
+        rows = [r for r in range(len(pivots), len(R)) if R[r][col] != 0]
+        if not rows:
+            continue
+        piv = len(pivots)
+        R[piv], R[rows[0]] = R[rows[0]], R[piv]
+        R[piv] = [x / R[piv][col] for x in R[piv]]
+        for r in range(len(R)):
+            if r != piv:
+                R[r] = [x - R[r][col] * y for x, y in zip(R[r], R[piv])]
+        pivots.append(col)
+    return R, pivots
+
+
+def _tall_rows(rng, nrows, ncols, rank, height):
+    """rank random rows of numerators and denominators up to height, each
+    entry with its own denominator, then rational combinations of them and
+    zero rows, shuffled."""
+    def scalar():
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    rows = [[scalar() for _ in range(ncols)] for _ in range(rank)]
+    while len(rows) < nrows:
+        if rank and rng.random() < 0.7:
+            a, b = rng.choice(rows[:rank]), rng.choice(rows[:rank])
+            s, t = scalar(), scalar()
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(0)] * ncols)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_q_kernels_at_real_heights():
+    """Every Q kernel on entries with numerators and denominators up to 10^12,
+    mixed denominators in each row, at n = 1..6, against the naive Fraction
+    Gauss-Jordan and Leibniz oracles; every returned value is a Fraction."""
+    import random
+
+    rng = random.Random(1012)
+    height = 10 ** 12
+    for n in range(1, 7):
+        for _ in range(4):
+            A = _tall_rows(rng, n, n, n, height)
+            B = _tall_rows(rng, n, rng.randint(1, 6), n, height)
+            got = kernels.matmul_mod(A, B, None)
+            assert got == _product(A, B, None) and _exact(got, None)
+            d = kernels.det_mod(A, None)
+            assert d == _leibniz(A, None) != 0 and _exact([[d]], None)
+            inv = kernels.inverse_mod(A, None)
+            ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            assert _exact(inv, None) and _product(A, inv, None) == ident
+            assert inv == [row[n:] for row in _gauss_jordan(
+                [row + ident_row for row, ident_row in zip(A, ident)])[0]]
+            c = kernels.charpoly_mod(A, None)
+            assert _exact([c], None) and c[0] == 1 and c[1] == -sum(A[i][i] for i in range(n))
+            for t in range(n + 1):
+                shifted = [[(t if i == j else 0) - x for j, x in enumerate(row)]
+                           for i, row in enumerate(A)]
+                assert sum(ck * t ** (n - k) for k, ck in enumerate(c)) == _leibniz(shifted, None)
+            # rank-deficient, non-square and with zero rows
+            rank = rng.randint(0, n - 1)
+            for M in (_tall_rows(rng, n, n, rank, height),
+                      _tall_rows(rng, n, rng.randint(1, 7), rank, height),
+                      _tall_rows(rng, rng.randint(1, 7), n, min(rank, n), height)):
+                R, pivots = kernels.rref_mod(M, None)
+                assert (R, pivots) == _gauss_jordan(M) and _exact(R, None)
+                assert kernels.rank_mod(M, None) == len(pivots)
+            M = _tall_rows(rng, n, n, rank, height)
+            assert kernels.det_mod(M, None) == 0 and _exact([[kernels.det_mod(M, None)]], None)
+            assert kernels.inverse_mod(M, None) is None
+
+
 def test_eval_words_against_naive(rng):
     for p in (7, None):
         _check_eval_words(rng, p)
