@@ -203,8 +203,13 @@ def _check_comparable(P: MatrixPair, Q: MatrixPair):
 
 def find_conjugator(P: MatrixPair, Q: MatrixPair,
                     max_order: int = DEFAULT_GL_GUARD):
-    """Exhaustive search for g with g.P = Q over GL_n(F_p); None if no g
-    exists.  Also reports the number of invertible matrices scanned."""
+    """Exhaustive search for g with g.P = Q over GL_n(F_p): the first such g
+    in lex order of its row-major entries, or None if no g exists, and the
+    number of invertible matrices scanned.  All p^(n^2) matrices are scanned,
+    each with its own determinant and residual test, by the one numpy
+    kernel (``kernels.conjugator_search_mod``).  Refused with
+    ResourceGuardError for n > 3, for |GL_n(F_p)| > max_order, and, whatever
+    max_order is, for p^(n^2) >= 2^63, where int64 indices end."""
     _check_comparable(P, Q)
     if P.field.is_rationals:
         raise ValueError("brute-force search needs a finite field")
@@ -213,6 +218,10 @@ def find_conjugator(P: MatrixPair, Q: MatrixPair,
         raise ResourceGuardError(
             "GL_%d(F_%d) has order %d; raise max_order to search"
             % (n, p, order_gl(n, p)))
+    if p ** (n * n) >= 2 ** 63:
+        raise ResourceGuardError(
+            "the %d^%d matrices of size %d over F_%d are too many for int64 indices"
+            % (p, n * n, n, p))
     count, ok, g = kernels.conjugator_search_mod(
         P.A1.to_np(), P.A2.to_np(), Q.A1.to_np(), Q.A2.to_np(), p)
     witness = Mat(P.field, g.tolist()) if ok else None

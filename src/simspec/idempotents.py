@@ -84,13 +84,13 @@ class EntryProbe(NcPoly):
 
 @lru_cache(maxsize=256)
 def _entry_probe_cached(a: tuple, i: int, j: int) -> EntryProbe:
+    _check_distinct(a)      # on a miss only: a hit's tuple passed it
     return EntryProbe(a, i, j)
 
 
 def entry_probe_poly(a, i: int, j: int) -> EntryProbe:
     """H_i x2 H_j; evaluates to (A2)_ij E_ij on (diag(a), A2)."""
     a = tuple(a)
-    _check_distinct(a)
     n = len(a)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("entry position out of range")

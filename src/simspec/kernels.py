@@ -1,5 +1,5 @@
 """The exact small matrix ops, one implementation each for Q and F_p, the one
-word evaluator, and the GL_n(F_p) search kernels.
+word evaluator, and the GL_n(F_p) search kernel.
 
 matmul_mod, rref_mod, rank_mod, det_mod, inverse_mod, charpoly_mod and
 eval_words_mod take rows of raw values: Python ints reduced mod p, exact at
@@ -9,20 +9,22 @@ one denominator per row (per matrix in charpoly_mod), eliminate fraction-free
 
 numpy is used only by conjugator_search_mod (the GL_n(F_p) oracle), on int64
 arrays, and is imported on its first call, so importing simspec does not load
-it.  The search runs as a numba ``@njit`` loop when numba is installed
-(``USE_NUMBA``), else as a batched numpy scan.  ``IMPLS`` exposes both lanes
-of the search for cross-checking.
+it.  The search is one numpy scan, row-factored: each matrix is its first
+n - 1 rows over its last row, and every matrix's determinant and residual
+test come from products shared along those two indices.  It needs
+p^(n^2) < 2^63, which ``find_conjugator`` enforces.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from fractions import Fraction
-from functools import cache
+from itertools import combinations
 from math import lcm, prod
 from operator import mul
 
-USE_NUMBA = importlib.util.find_spec("numba") is not None
+# There is one search lane, numpy; the constant stays for perfbench, whose
+# worker reports the lane from it.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +201,15 @@ def eval_words_mod(flat, offs, coeffs, mats, p):
 
 
 # ---------------------------------------------------------------------------
-# GL_n(F_p) search on int64 arrays; np is bound by _search_lanes
+# GL_n(F_p) search on int64 arrays; np is bound by conjugator_search_mod
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 17
+# cells of the largest array of one search step, whatever n and p are
+_CELLS = 1 << 18
 
 
 def _digit_block(start, stop, nn, p):
+    """The nn base-p digits, most significant first, of start, ..., stop - 1."""
     idx = np.arange(start, stop, dtype=np.int64)
     out = np.zeros((idx.shape[0], nn), dtype=np.int64)
     for pos in range(nn - 1, -1, -1):
@@ -214,180 +218,80 @@ def _digit_block(start, stop, nn, p):
     return out
 
 
-def _det_batch(G, p):
-    n = G.shape[1]
-    if n == 1:
-        return G[:, 0, 0] % p
-    if n == 2:
-        return (G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]) % p
-    if n == 3:
-        return (
-            G[:, 0, 0] * (G[:, 1, 1] * G[:, 2, 2] - G[:, 1, 2] * G[:, 2, 1])
-            - G[:, 0, 1] * (G[:, 1, 0] * G[:, 2, 2] - G[:, 1, 2] * G[:, 2, 0])
-            + G[:, 0, 2] * (G[:, 1, 0] * G[:, 2, 1] - G[:, 1, 1] * G[:, 2, 0])
-        ) % p
-    return np.array([det_mod(g.tolist(), p) for g in G], dtype=np.int64)
-
-
-def _conjugator_search_np(A1, A2, B1, B2, p):
-    # every n x n matrix g in lex order of the entry tuple: counts the
-    # invertible ones and reports the first g with g A1 = B1 g, g A2 = B2 g
-    n = A1.shape[0]
-    nn = n * n
-    total = p ** nn
-    count = 0
-    ok = False
-    found = np.zeros((n, n), dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        G = _digit_block(start, stop, nn, p).reshape(-1, n, n)
-        dets = _det_batch(G, p)
-        inv_mask = dets != 0
-        count += int(inv_mask.sum())
-        if not ok:
-            c1 = ((G @ A1 - B1 @ G) % p == 0).all(axis=(1, 2))
-            cand = inv_mask & c1
-            if cand.any():
-                Gc = G[cand]
-                c2 = ((Gc @ A2 - B2 @ Gc) % p == 0).all(axis=(1, 2))
-                if c2.any():
-                    ok = True
-                    found = Gc[c2][0].copy()
-    return count, ok, found
-
-
-# ---------------------------------------------------------------------------
-# numba lane of the search: loop sources compiled with @njit
-# ---------------------------------------------------------------------------
-
-def _inv_mod_src(a, p):
-    # extended Euclid on (a, p), a in [1, p)
-    t = 0
-    newt = 1
-    r = p
-    newr = a
-    while newr != 0:
-        q = r // newr
-        t, newt = newt, t - q * newt
-        r, newr = newr, r - q * newr
-    return t % p
-
-
-def _det_src(A, p):
-    # elimination with swap sign tracking, on an int64 array
-    M = A.copy()
-    n = M.shape[0]
-    det = 1
-    for col in range(n):
-        sel = -1
-        for r in range(col, n):
-            if M[r, col] != 0:
-                sel = r
-                break
-        if sel < 0:
-            return 0
-        if sel != col:
-            det = (p - det) % p
-            for c in range(n):
-                tmp = M[col, c]
-                M[col, c] = M[sel, c]
-                M[sel, c] = tmp
-        det = det * M[col, col] % p
-        inv = _inv_mod(M[col, col], p)
-        for r in range(col + 1, n):
-            if M[r, col] != 0:
-                f = M[r, col] * inv % p
-                for c in range(col, n):
-                    M[r, c] = (M[r, c] - f * M[col, c]) % p
-    return det
-
-
-def _conjugator_search_src(A1, A2, B1, B2, p):
-    # the same scan as _conjugator_search_np, one matrix at a time
-    n = A1.shape[0]
-    nn = n * n
-    digits = np.zeros(nn, dtype=np.int64)
-    g = np.zeros((n, n), dtype=np.int64)
-    found = np.zeros((n, n), dtype=np.int64)
-    ok = False
-    count = 0
-    total = 1
-    for _ in range(nn):
-        total *= p
-    for _ in range(total):
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = digits[i * n + j]
-        d = _det_nb(g, p)
-        if d != 0:
-            count += 1
-            if not ok:
-                good = True
-                for i in range(n):
-                    for j in range(n):
-                        s1 = 0
-                        s2 = 0
-                        for l in range(n):
-                            s1 += g[i, l] * A1[l, j]
-                            s2 += B1[i, l] * g[l, j]
-                        if (s1 - s2) % p != 0:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if good:
-                    for i in range(n):
-                        for j in range(n):
-                            s1 = 0
-                            s2 = 0
-                            for l in range(n):
-                                s1 += g[i, l] * A2[l, j]
-                                s2 += B2[i, l] * g[l, j]
-                            if (s1 - s2) % p != 0:
-                                good = False
-                                break
-                        if not good:
-                            break
-                if good:
-                    ok = True
-                    for i in range(n):
-                        for j in range(n):
-                            found[i, j] = g[i, j]
-        # lex odometer: last digit fastest
-        pos = nn - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < p:
-                break
-            digits[pos] = 0
-            pos -= 1
-    return count, ok, found
-
-
-@cache
-def _search_lanes():
-    """The search lanes, built on first use: numpy, and numba when installed."""
-    global np, _inv_mod, _det_nb
-    import numpy as np
-
-    lanes = {"numpy": {"conjugator_search": _conjugator_search_np}, "numba": None}
-    if USE_NUMBA:
-        from numba import njit
-
-        _inv_mod = njit(cache=True)(_inv_mod_src)
-        _det_nb = njit(cache=True)(_det_src)
-        lanes["numba"] = {"conjugator_search": njit(cache=True)(_conjugator_search_src)}
-    return lanes
+def _cofactors(U, p):
+    """c(U) mod p for a stack of (n-1) x n matrices U: the cofactors of the
+    last row of [U; r], so that det [U; r] = r . c(U).  Built from the minors
+    of U's top rows on every set of columns, one row at a time by Laplace
+    expansion along that row; each is reduced, so int64 holds n p^2."""
+    k, n = U.shape[1], U.shape[2]
+    minors = {(): np.ones(U.shape[0], dtype=np.int64)}
+    for i in range(k):
+        minors = {cols: sum((-1) ** (i + t) * U[:, i, c] * minors[cols[:t] + cols[t + 1:]]
+                            for t, c in enumerate(cols)) % p
+                  for cols in combinations(range(n), i + 1)}
+    return np.stack([(-1) ** (k + j) * minors[tuple(c for c in range(n) if c != j)]
+                     for j in range(n)], axis=1) % p
 
 
 def conjugator_search_mod(A1, A2, B1, B2, p):
     """(invertible count, found, first g in lex order with g A1 = B1 g and
-    g A2 = B2 g) over all n x n matrices g over F_p, on int64 arrays."""
-    lanes = _search_lanes()
-    return (lanes["numba"] or lanes["numpy"])["conjugator_search"](A1, A2, B1, B2, p)
+    g A2 = B2 g) over all n x n matrices g over F_p, on int64 arrays; needs
+    p^(n^2) < 2^63.
 
+    Row-factored scan: g = [U; r], U its first n - 1 rows (index h) and r
+    its last row (index l), so g's lex index is h p^n + l and the (h, l)
+    table in row-major order is the lex scan.  det g = r . c(U) with c(U)
+    the last-row cofactors, and R(g) = g A - B g is linear, so R(g) = 0 iff
+    R(U; 0) = -R(0; r) mod p, compared as base-p codes below p^(n^2).
+    Every g gets its own determinant and residual test; only the products
+    are shared, one per row or column of the table."""
+    global np
+    import numpy as np
 
-def __getattr__(name):
-    if name == "IMPLS":
-        return _search_lanes()
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    n = A1.shape[0]
+    nn, top = n * n, n * n - n
+    L, H = p ** n, p ** top
+    lstep = min(L, _CELLS // (2 * nn))
+    hstep = min(H, max(1, _CELLS // lstep))
+    # row k: the residuals of both pairs at the k-th unit matrix, so that
+    # digits(g) @ M lists R(g) for (A1, B1) and then for (A2, B2)
+    E = np.eye(nn, dtype=np.int64).reshape(nn, n, n)
+    M = np.concatenate([(E @ A - B @ E).reshape(nn, nn) for A, B in ((A1, B1), (A2, B2))],
+                       axis=1)
+    powers = p ** np.arange(nn, dtype=np.int64)
+
+    def codes(digits, part):
+        # (2, rows): the base-p code of each residual mod p, for each pair
+        return ((digits @ part % p).reshape(-1, 2, nn) @ powers).T
+
+    def last_rows(l0):
+        # r^T and the codes of -R(0; r) for the last rows l0, l0 + 1, ...
+        r = _digit_block(l0, min(l0 + lstep, L), n, p)
+        return r.T, codes(r, -M[top:])
+
+    starts = range(0, L, lstep)
+    once = last_rows(0) if len(starts) == 1 else None
+    count, first = 0, None
+    for h0 in range(0, H, hstep):
+        h1 = min(h0 + hstep, H)
+        U = _digit_block(h0, h1, top, p)
+        cof = _cofactors(U.reshape(h1 - h0, n - 1, n), p)
+        keys = codes(U, M[:top]) if first is None else None
+        hits = []
+        for l0 in starts:
+            rT, rkeys = once or last_rows(l0)
+            dets = cof @ rT % p
+            count += int(np.count_nonzero(dets))
+            if keys is not None:
+                hit = dets != 0
+                for u, v in zip(keys, rkeys):
+                    hit &= u[:, None] == v
+                at = np.flatnonzero(hit)
+                if at.size:
+                    h, l = divmod(int(at[0]), hit.shape[1])
+                    hits.append((h0 + h) * L + l0 + l)
+        if hits:
+            first = min(hits)
+    if first is None:
+        return count, False, np.zeros((n, n), dtype=np.int64)
+    return count, True, _digit_block(first, first + 1, nn, p).reshape(n, n)

@@ -252,6 +252,7 @@ def _type_separation(P: MatrixPair, Q: MatrixPair):
             return SeparationReport(False, probe, va, vb, count), CP, CQ, vp, vq
     if CP.eigs != CQ.eigs:
         raise VerificationError("equal sigmas must force equal eigenvalues")
+    vq.eigs = vp.eigs       # one tuple, so _weights matches probes by identity
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:

@@ -1,7 +1,7 @@
-"""The small matrix ops and the word evaluator of simspec.kernels against
-independent oracles, over Q and F_p, and the two lanes of the GL_n(F_p)
-search."""
+"""The small matrix ops, the word evaluator and the GL_n(F_p) search of
+simspec.kernels against independent oracles, over Q and F_p."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -15,10 +15,6 @@ import pytest
 
 from simspec import kernels
 from simspec.matrices import order_gl
-
-LANES = [("numpy", kernels.IMPLS["numpy"])]
-if kernels.IMPLS["numba"] is not None:
-    LANES.append(("numba", kernels.IMPLS["numba"]))
 
 FIELDS = [None, 2, 3, 7, 11]      # None is Q
 
@@ -50,13 +46,16 @@ def _product(A, B, p):
              for j in range(len(B[0]))] for i in range(len(A))]
 
 
+@functools.cache
+def _signed_permutations(n):
+    return [(perm, (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)))
+            for perm in itertools.permutations(range(n))]
+
+
 def _leibniz(A, p):
     n = len(A)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod(A[i][perm[i]] for i in range(n))
-    return _red(total, p)
+    return _red(sum(sign * prod(A[i][perm[i]] for i in range(n))
+                    for perm, sign in _signed_permutations(n)), p)
 
 
 def _rank_by_minors(A, p):
@@ -264,18 +263,16 @@ def _check_eval_words(rng, p):
         assert got == want and _exact(got, p)
 
 
-@pytest.mark.parametrize("lane_name,lane", LANES)
-def test_count_gl_matches_formula(lane_name, lane):
+def test_count_gl_matches_formula():
     # no g has g 0 = I g, so the search scans and counts every invertible g
     for n, p in ((1, 2), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
         zero, ident = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
-        count, ok, _ = lane["conjugator_search"](zero, zero, ident, zero, p)
+        count, ok, _ = kernels.conjugator_search_mod(zero, zero, ident, zero, p)
         assert not ok and count == order_gl(n, p)
     assert order_gl(3, 3) == 11232
 
 
-@pytest.mark.parametrize("lane_name,lane", LANES)
-def test_conjugator_search_small(lane_name, lane, rng):
+def test_conjugator_search_small(rng):
     p = 3
     A1 = np.array([[0, 0], [0, 1]], dtype=np.int64)
     A2 = np.array([[0, 1], [0, 0]], dtype=np.int64)
@@ -285,26 +282,100 @@ def test_conjugator_search_small(lane_name, lane, rng):
     assert (g @ ginv % p == np.eye(2, dtype=np.int64)).all()
     B1 = g @ A1 @ ginv % p
     B2 = g @ A2 @ ginv % p
-    count, found, w = lane["conjugator_search"](A1, A2, B1, B2, p)
+    count, found, w = kernels.conjugator_search_mod(A1, A2, B1, B2, p)
     assert count == order_gl(2, 3)
     assert found
     assert (w @ A1 % p == B1 @ w % p).all()
     assert (w @ A2 % p == B2 @ w % p).all()
     # an impossible target: ranks of second components differ
     C2 = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    count, found, _ = lane["conjugator_search"](A1, A2, A1, C2, p)
+    count, found, _ = kernels.conjugator_search_mod(A1, A2, A1, C2, p)
     assert count == order_gl(2, 3) and not found
 
 
-def test_lanes_agree_on_search(rng):
-    if kernels.IMPLS["numba"] is None:
-        pytest.skip("numba lane unavailable")
-    p = 3
-    for _ in range(5):
-        mats = [np.array(_rand(rng, 2, 2, p), dtype=np.int64) for _ in range(4)]
-        res_np = kernels.IMPLS["numpy"]["conjugator_search"](*mats, p)
-        res_nb = kernels.IMPLS["numba"]["conjugator_search"](*mats, p)
-        assert res_np[0] == res_nb[0] and res_np[1] == res_nb[1]
+def _search_by_enumeration(A1, A2, B1, B2, p):
+    """(count, ok, found) by listing every g in lex order of its row-major
+    entries: a Leibniz determinant each, and the first invertible g with
+    g A1 = B1 g and g A2 = B2 g."""
+    n = len(A1)
+    count, found = 0, None
+    for entries in itertools.product(range(p), repeat=n * n):
+        g = [list(entries[i:i + n]) for i in range(0, n * n, n)]
+        if _leibniz(g, p) == 0:
+            continue
+        count += 1
+        if found is None and all(_product(g, A, p) == _product(B, g, p)
+                                 for A, B in ((A1, B1), (A2, B2))):
+            found = g
+    return count, found is not None, found or [[0] * n for _ in range(n)]
+
+
+def _search_inputs(rng, n, p, kind):
+    def rand():
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+
+    A1, A2 = rand(), rand()
+    if kind == "zero":
+        return [[[0] * n for _ in range(n)]] * 4
+    if kind == "equal":
+        return A1, A2, A1, A2
+    if kind == "random":
+        return A1, A2, rand(), rand()
+    while True:                 # conjugate by a random invertible g
+        g = rand()
+        if _leibniz(g, p):
+            break
+    ginv = kernels.inverse_mod(g, p)
+    return (A1, A2) + tuple(_product(_product(g, A, p), ginv, p) for A in (A1, A2))
+
+
+def test_search_against_enumeration(rng, monkeypatch):
+    """(count, ok, found) equal to the enumeration's on seeded conjugate,
+    equal, random and zero pairs, at the default cell budget and at 32
+    cells, where every search runs in many blocks of both row indices."""
+    cases = [(n, p, kind) for n, p in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2))
+             for kind in ("conjugate", "conjugate", "equal", "random", "zero")]
+    cases += [(3, 3, kind) for kind in ("conjugate",) * 4 + ("equal", "random", "zero")]
+    found_any, default = 0, kernels._CELLS
+    for n, p, kind in cases:
+        mats = _search_inputs(rng, n, p, kind)
+        want = _search_by_enumeration(*mats, p)
+        for cells in (default, 32):
+            monkeypatch.setattr(kernels, "_CELLS", cells)
+            count, ok, found = kernels.conjugator_search_mod(
+                *[np.array(M, dtype=np.int64) for M in mats], p)
+            assert (count, ok, found.tolist()) == want, (n, p, kind, cells)
+            assert found.dtype == np.int64 and found.shape == (n, n)
+        found_any += want[1]
+    assert 0 < found_any < len(cases)
+
+
+def test_search_guard_and_memory():
+    """p^(n^2) >= 2^63 is refused at once whatever max_order is, and one
+    search holds a few MB at most."""
+    import time
+    import tracemalloc
+
+    from simspec import Mat, MatrixPair, PrimeField, find_conjugator
+    from simspec.errors import ResourceGuardError
+
+    F = PrimeField(1_000_003)
+    P = MatrixPair(Mat.diag(F, [1, 2, 3]), Mat.unit(F, 3, 1, 2))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceGuardError):
+        find_conjugator(P, P, max_order=10 ** 60)
+    assert time.perf_counter() - t0 < 1.0
+
+    rng = np.random.default_rng(5)
+    for n, p in ((3, 5), (2, 61)):
+        A1, A2, B2 = (rng.integers(0, p, (n, n)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            count, _, _ = kernels.conjugator_search_mod(A1, A2, A1, B2, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == order_gl(n, p) and peak < 16 * 2 ** 20
 
 
 def test_numpy_stays_off_the_import_path():
