@@ -21,11 +21,13 @@ from . import kernels
 from .errors import (FieldMismatchError, FieldTooSmallError, ResourceGuardError,
                      VerificationError)
 from .fields import Field, FieldElement
-from .matrices import DEFAULT_GL_GUARD, Mat, _eigenbasis, eigs_in_field, order_gl
+from .matrices import DEFAULT_GL_GUARD, Mat, _check_gl_guard, _eigenbasis, eigs_in_field
 from .stargraph import (
     STAR,
     Digraph,
     StarMatrix,
+    _neighbours,
+    _tree_edges,
     _UnionFind,
     matches,
     star_from_forest,
@@ -123,27 +125,14 @@ def _torus_scales(graph: Digraph, A2p, p) -> list:
     """Torus solve: the smallest vertex of each component gets scale 1, the
     rest follow the tree constraints d_u * A2p_uv / d_v = 1 along arrows.
     Returns [d_1, ..., d_n]."""
-    n = graph.n
-    adj = {v: [] for v in range(1, n + 1)}
-    for a, b in graph.arrows:
-        adj[a].append(b)
-        adj[b].append(a)
-    scale = [None] * (n + 1)
-    for root in range(1, n + 1):
-        if scale[root] is not None:
-            continue
-        scale[root] = 1
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if scale[v] is None:
-                    if (u, v) in graph.arrows:
-                        d = scale[u] * A2p[u - 1][v - 1]
-                    else:
-                        d = scale[u] * kernels.inv_scalar(A2p[v - 1][u - 1], p)
-                    scale[v] = kernels.red(d, p)
-                    queue.append(v)
+    adj, scale = _neighbours(graph), [None] * (graph.n + 1)
+    for root in range(1, graph.n + 1):
+        if scale[root] is None:
+            scale[root] = 1
+            for u, v, arrow in _tree_edges(adj, root):
+                d = (A2p[u - 1][v - 1] if arrow == (u, v)
+                     else kernels.inv_scalar(A2p[v - 1][u - 1], p))
+                scale[v] = kernels.red(scale[u] * d, p)
     return scale[1:]
 
 
@@ -171,8 +160,9 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     g = [[kernels.red(s * x, p) for x in row] for s, row in zip(scale, g0)]
 
     # witness check without inverses: g X = Y g for both components
-    D = [[a if i == j else 0 for j in range(n)] for i, a in enumerate(roots)]
-    if not (kernels.matmul_mod(g, A1, p) == kernels.matmul_mod(D, g, p)
+    # D g for D = diag(roots) is g with row i scaled by roots[i]
+    Dg = [[kernels.red(a * x, p) for x in row] for a, row in zip(roots, g)]
+    if not (kernels.matmul_mod(g, A1, p) == Dg
             and kernels.matmul_mod(g, A2, p) == kernels.matmul_mod(A2c, g, p)):
         raise VerificationError("witness fails to transform")
 
@@ -214,10 +204,7 @@ def find_conjugator(P: MatrixPair, Q: MatrixPair,
     if P.field.is_rationals:
         raise ValueError("brute-force search needs a finite field")
     p, n = P.field.p, P.n
-    if n > 3 or order_gl(n, p) > max_order:
-        raise ResourceGuardError(
-            "GL_%d(F_%d) has order %d; raise max_order to search"
-            % (n, p, order_gl(n, p)))
+    _check_gl_guard(n, p, max_order, "search")
     if p ** (n * n) >= 2 ** 63:
         raise ResourceGuardError(
             "the %d^%d matrices of size %d over F_%d are too many for int64 indices"

@@ -214,7 +214,7 @@ class FieldElement:
         return self.field is other.field and self.value == other.value
 
     def __hash__(self):
-        return hash((id(self.field), self.value))
+        return hash(self.value)
 
     def __lt__(self, other):
         return field_cmp(self, other) < 0

@@ -362,6 +362,17 @@ def order_gl(n: int, p: int) -> int:
     return prod(p ** n - p ** i for i in range(n))
 
 
+def _check_gl_guard(n: int, p: int, max_order: int, verb: str):
+    """Exhaustive scans of GL_n(F_p) run for n <= 3 and order <= max_order."""
+    if n > 3:
+        raise ResourceGuardError(
+            "GL_%d(F_%d) is too large to %s: n <= 3 only, whatever max_order is"
+            % (n, p, verb))
+    if order_gl(n, p) > max_order:
+        raise ResourceGuardError(
+            "GL_%d(F_%d) has order %d; raise max_order to %s" % (n, p, order_gl(n, p), verb))
+
+
 def enumerate_GL(n: int, p: int, max_order: int = DEFAULT_GL_GUARD):
     """Every invertible n x n matrix over F_p exactly once, lexicographic in
     the row-major entry tuple."""
@@ -369,9 +380,7 @@ def enumerate_GL(n: int, p: int, max_order: int = DEFAULT_GL_GUARD):
         raise ValueError("p must be prime")
     if n < 1:
         raise ValueError("n must be positive")
-    if n > 3 or order_gl(n, p) > max_order:
-        raise ResourceGuardError(
-            "GL_%d(F_%d) has order %d; raise max_order to enumerate" % (n, p, order_gl(n, p)))
+    _check_gl_guard(n, p, max_order, "enumerate")
     field = PrimeField(p)
     for entries in itertools.product(range(p), repeat=n * n):
         rows = [entries[i * n:(i + 1) * n] for i in range(n)]

@@ -11,11 +11,12 @@ Degrees are certified on the formal polynomials, but values are not computed
 by expanding them, nor by multiplying matrices.  Every zeta and rank probe is
 built from entry probes h_ij = H_i x2 H_j, and a ProbeEvaluator reads them in
 the pair's eigenbasis from canonicalize's exactly checked witness g: there
-g h_ij g^-1 is the single entry b_ij of the canonical second matrix B at
-(i, j), so a probe value is assembled from scalar products of entries of B
-and its rank or vanishing is read off directly (both are similarity
-invariants); sigma values are the elementary symmetric functions of the
-eigenvalues.  The trade-off is that the rank decider reads its values
+g h_ij g^-1 is the single cell b_ij at (i, j) of the canonical second matrix
+B, so g poly g^-1 is a sparse {cell: value} dict of scalar products of
+entries of B, with no Mat per value.  A zeta probe reads vanishing as an
+empty dict, a rank probe reads kernels.rank_mod of the cells' rows (both are
+similarity invariants); sigma values are the elementary symmetric functions
+of the eigenvalues.  The trade-off is that the rank decider reads its values
 through the verified witness, not through products of the raw matrices.
 An equal verdict is returned only when both pairs' canonical forms, each
 with its exactly checked witness, agree as well.  The evaluator computes on
@@ -67,7 +68,8 @@ class ProbeEvaluator:
     the reconstituted canonical A2.  g H_t(A1) g^-1 = diag(l_t(lam)), l_t the
     Lagrange weight of idempotent_poly(a, t), so g h_ij(P) g^-1 has entries
     l_i(lam_k) B_kl l_j(lam_l): just b_ij at (i, j) when a == lam, as in every
-    decision.  value() multiplies these as raw scalars into g poly(P) g^-1.
+    decision.  cells() multiplies these sparse cells as raw scalars into
+    g poly(P) g^-1; value() is the same as a Mat.
     """
 
     def __init__(self, P: MatrixPair, canon: CanonicalPair | None = None):
@@ -82,11 +84,11 @@ class ProbeEvaluator:
         for lam in self._lam:
             e = [e[0]] + [kernels.red(e[k] + e[k - 1] * lam, p) for k in range(1, len(e))]
         self.sigmas = tuple(P.field.elem(x) for x in e)      # sigma(A1, t) = e_t(lam)
+        self._own = {(i + 1, j + 1): {(i, j): b} if b else {}     # own-basis entry()
+                     for i, row in enumerate(self._B) for j, b in enumerate(row)}
 
     def _weights(self, a: tuple, t: int) -> dict:
-        """{k: l_t(lam_k)} without zeros, as raw values."""
-        if a == self.eigs:
-            return {t - 1: self._one}
+        """{k: l_t(lam_k)} without zeros, as raw values, for a foreign basis a."""
         p, at = self._p, a[t - 1].value
         inv = {s.value: kernels.inv_scalar(at - s.value, p) for s in a if s.value != at}
         w = ((k, kernels.red(prod(((lam - s) * d for s, d in inv.items()), start=self._one), p))
@@ -94,27 +96,42 @@ class ProbeEvaluator:
         return {k: v for k, v in w if v}
 
     def entry(self, a: tuple, i: int, j: int) -> dict:
-        """g h_ij(P) g^-1 as {(k, l): raw entry}, for the eigenvalue basis a."""
+        """g h_ij(P) g^-1 as {(k, l): raw entry}, for the eigenvalue basis a.
+        In the pair's own basis it is b_ij at (i, j), made once: never mutate it."""
+        if a == self.eigs:
+            return self._own[(i, j)]
         B, p = self._B, self._p
         return {(k, l): kernels.red(x * B[k][l] * y, p)
                 for k, x in self._weights(a, i).items()
                 for l, y in self._weights(a, j).items() if B[k][l]}
 
-    def value(self, poly) -> Mat:
-        """g poly(P) g^-1 for an entry probe or an NcExpr of entry probes."""
-        field, n, p = self.pair.field, self.pair.n, self._p
+    def cells(self, poly) -> dict:
+        """g poly(P) g^-1 as {(k, l): raw entry}, reduced and without zeros,
+        for an entry probe or an NcExpr of entry probes."""
         terms = poly.terms if isinstance(poly, NcExpr) else [(self._one, (poly,))]
         acc = {}
         for c, factors in terms:
-            term = {(k, k): self._one for k in range(n)}
+            term = None
             for f in factors:
                 if not isinstance(f, EntryProbe):
                     raise TypeError("probe factor is not an entry probe")
-                term = _sparse_product(term, self.entry(f.eigs, f.i, f.j), p)
+                if term is None:
+                    term = self.entry(f.eigs, f.i, f.j)
+                elif term:      # an empty product stays empty
+                    term = _sparse_product(term, self.entry(f.eigs, f.i, f.j), self._p)
+            if term is None:
+                term = {(k, k): self._one for k in range(self.pair.n)}
             for pos, v in term.items():
                 acc[pos] = acc.get(pos, 0) + c * v
-        zero = field.raw(0)
-        return Mat(field, [[acc.get((k, l), zero) for l in range(n)] for k in range(n)])
+        return {pos: r for pos, v in acc.items() if (r := kernels.red(v, self._p))}
+
+    def value(self, poly) -> Mat:
+        """g poly(P) g^-1 as a Mat."""
+        return Mat(self.pair.field, _dense(self.cells(poly), self.pair.n))
+
+
+def _dense(cells: dict, n: int) -> list:
+    return [[cells.get((k, l), 0) for l in range(n)] for k in range(n)]
 
 
 def _sparse_product(X: dict, Y: dict, p) -> dict:
@@ -171,10 +188,10 @@ class InvariantProbe:
             raise ValueError("the evaluator belongs to another pair")
         if self.kind == "sigma":
             return values.sigmas[self.t]
-        value = values.value(self.poly)
+        cells = values.cells(self.poly)
         if self.kind == "zeta":
-            return zero_indicator(value)
-        return rank(value)
+            return 0 if cells else 1
+        return kernels.rank_mod(_dense(cells, P.n), values._p)
 
     def to_json(self):
         out = {"label": self.label, "kind": self.kind, "degree": self.degree}
@@ -252,7 +269,7 @@ def _type_separation(P: MatrixPair, Q: MatrixPair):
             return SeparationReport(False, probe, va, vb, count), CP, CQ, vp, vq
     if CP.eigs != CQ.eigs:
         raise VerificationError("equal sigmas must force equal eigenvalues")
-    vq.eigs = vp.eigs       # one tuple, so _weights matches probes by identity
+    vq.eigs = vp.eigs       # one tuple, so entry() matches probes by identity
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:

@@ -121,59 +121,64 @@ class UPath:
         return out
 
 
+def _neighbours(G: Digraph) -> dict:
+    """{v: [(w, the arrow joining v and w)]}, in increasing order of w."""
+    adj = {v: [] for v in range(1, G.n + 1)}
+    for a, b in G.arrows:
+        adj[a].append((b, (a, b)))
+        adj[b].append((a, (a, b)))
+    return {v: sorted(ws) for v, ws in adj.items()}
+
+
+def _tree_edges(adj: dict, root: int):
+    """Breadth-first walk from root over _neighbours' adj: (v, w, arrow) for
+    each vertex w reached, v the vertex it was first reached from."""
+    order, seen = [root], {root}
+    for v in order:         # order grows while it is read
+        for w, arrow in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                yield v, w, arrow
+
+
 def undirected_path(G: Digraph, i: int, j: int):
     """The unique undirected path from vi to vj, or None if disconnected.
     Assumes G is a forest (path uniqueness)."""
     if i == j:
         raise ValueError("endpoints must differ")
-    adj = {v: [] for v in range(1, G.n + 1)}
-    for a, b in G.sorted_arrows():
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
     parent = {i: None}
-    queue = [i]
-    while queue:
-        v = queue.pop(0)
-        if v == j:
-            break
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
+    for v, w, _ in _tree_edges(_neighbours(G), i):
+        parent[w] = v
     if j not in parent:
         return None
     verts = [j]
     while parent[verts[-1]] is not None:
         verts.append(parent[verts[-1]])
     verts.reverse()
-    flags = []
-    for a, b in zip(verts, verts[1:]):
-        flags.append(FWD if (a, b) in G.arrows else REV)
+    flags = [FWD if (a, b) in G.arrows else REV for a, b in zip(verts, verts[1:])]
     return UPath(tuple(verts), tuple(flags))
 
 
 def star_from_forest(G: Digraph) -> StarMatrix:
     """Canonical pattern of a forest: 1 at arrows, * on the diagonal and at
-    positions whose connecting path uses only lex-smaller arrows, else 0."""
+    positions whose connecting path uses only lex-smaller arrows, else 0.
+
+    One walk of its tree from each vertex i carries the largest arrow on the
+    path to each j it reaches ((0, 0) for j = i): (i, j) is 1 when that arrow
+    is (i, j), the path being that one arrow, and * when it is below (i, j)."""
     if not is_forest(G):
         raise NotForestError("digraph has an undirected cycle")
-    n = G.n
+    n, adj = G.n, _neighbours(G)
     cells = [[ZERO] * n for _ in range(n)]
     for i in range(1, n + 1):
-        cells[i - 1][i - 1] = STAR
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if (i, j) in G.arrows:
+        top = {i: (0, 0)}       # vertex -> largest arrow on its path from i
+        for v, w, arrow in _tree_edges(adj, i):
+            top[w] = max(top[v], arrow)
+        for j, arrow in top.items():
+            if arrow == (i, j):
                 cells[i - 1][j - 1] = ONE
-                continue
-            path = undirected_path(G, i, j)
-            if path is None:
-                continue
-            if all((r, s) < (i, j) for r, s in path.arrows()):
+            elif arrow < (i, j):
                 cells[i - 1][j - 1] = STAR
     return StarMatrix(cells)
 

@@ -222,8 +222,14 @@ def test_orbit_eq_brute_counterexample_small_field():
 def test_orbit_eq_brute_guard():
     F7 = PrimeField(7)
     P = MatrixPair(Mat.diag(F7, [0, 1, 2]), Mat.zeros(F7, 3))
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match="raise max_order to search"):
         orbit_eq_brute(P, P, max_order=100)
+    # raising max_order never lifts the n <= 3 limit, and the message says so
+    F2 = PrimeField(2)
+    P4 = MatrixPair(Mat.identity(F2, 4), Mat.identity(F2, 4))
+    with pytest.raises(ResourceGuardError, match="n <= 3 only") as exc:
+        find_conjugator(P4, P4, max_order=10 ** 9)
+    assert "raise max_order" not in str(exc.value)
     with pytest.raises(ValueError):
         orbit_eq_brute(MatrixPair(Mat.diag(QQ, [0, 1]), Mat.zeros(QQ, 2)),
                        MatrixPair(Mat.diag(QQ, [0, 1]), Mat.zeros(QQ, 2)))

@@ -294,6 +294,12 @@ def test_enumerate_gl_guard():
         list(enumerate_GL(4, 2))
     with pytest.raises(ResourceGuardError):
         list(enumerate_GL(3, 5, max_order=1000))
+    # n > 3 is refused whatever max_order is, and the message says so
+    with pytest.raises(ResourceGuardError, match="n <= 3 only") as exc:
+        list(enumerate_GL(4, 2, max_order=10 ** 9))
+    assert "raise max_order" not in str(exc.value)
+    with pytest.raises(ResourceGuardError, match="raise max_order to enumerate"):
+        list(enumerate_GL(3, 5, max_order=1000))
 
 
 def test_inverse_roundtrip(rng, field):

@@ -205,13 +205,17 @@ def test_rank_decision_matmul_budget(monkeypatch, field):
     """Outside its two canonicalize calls, an n = 5 equal decision does no
     matmul and computes no characteristic polynomial.  It makes FieldElements
     only for the data it reports (eigenvalues, parameters, sigma values): 64
-    on this pair, under a ceiling of 454 over Q and 379 over F_7."""
+    on this pair, under a ceiling of 454 over Q and 379 over F_7.  Probe
+    values are sparse cells, so it builds no Mat per value: 4 for the two
+    canonical second matrices' reconstitutions, plus, over Q, 8 on the first
+    build of a staircase certificate."""
     rng = random.Random(11)
     n = 5
     P = random_simple_spectrum_pair(field, n, rng)
     g = random_invertible(field, n, rng)
     Q = MatrixPair(*conjugate(g, P.mats()))
-    stars = len(canonicalize(P).canon.star.star_positions())
+    C = canonicalize(P).canon
+    stars = len(C.star.star_positions())
     inside = []
     outside = {"matmul": 0, "charpoly": 0, "canonicalize": 0}
     matmul, charpoly = Mat.__matmul__, matrices.charpoly
@@ -235,6 +239,14 @@ def test_rank_decision_matmul_budget(monkeypatch, field):
             outside["charpoly"] += 1
         return charpoly(M)
 
+    mats = [0]
+    mat_init = Mat.__init__
+
+    def counted_mat(self, field, rows):
+        if not inside:
+            mats[0] += 1
+        mat_init(self, field, rows)
+
     elements = [0]
     element_init = FieldElement.__init__
 
@@ -246,8 +258,14 @@ def test_rank_decision_matmul_budget(monkeypatch, field):
     monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
     monkeypatch.setattr(matrices, "charpoly", counted_charpoly)
     monkeypatch.setattr(FieldElement, "__init__", counted_element)
+    monkeypatch.setattr(Mat, "__init__", counted_mat)
     rep = orbit_eq_by_ranks(P, Q)
     assert rep.equal
     assert rep.probes_evaluated == n * n + stars
     assert outside == {"matmul": 0, "charpoly": 0, "canonicalize": 2}
     assert elements[0] <= (454 if field.is_rationals else 379)
+    assert mats[0] <= 12
+    # in the pair's own basis an entry is one dict, handed out again
+    values = ProbeEvaluator(P, C)
+    assert all(values.entry(C.eigs, i, j) is values.entry(C.eigs, i, j)
+               for i in range(1, n + 1) for j in range(1, n + 1))

@@ -115,6 +115,32 @@ def test_roundtrip_exhaustive(n):
     assert len(stars) == len(enumerate_forests(n))
 
 
+def _star_by_definition(G):
+    """1 at arrows, * on the diagonal and where the connecting path's arrows
+    are all lex-smaller than the position, else 0: one path per cell."""
+    cells = []
+    for i in range(1, G.n + 1):
+        row = []
+        for j in range(1, G.n + 1):
+            path = None if i == j else undirected_path(G, i, j)
+            if (i, j) in G.arrows:
+                row.append("1")
+            elif i == j or (path is not None
+                            and all(arrow < (i, j) for arrow in path.arrows())):
+                row.append("*")
+            else:
+                row.append("0")
+        cells.append(row)
+    return StarMatrix(cells)
+
+
+def test_star_from_forest_against_definition():
+    forests = [G for n in range(1, 6) for G in enumerate_forests(n)]
+    assert len(forests) == 3305
+    for G in forests:
+        assert star_from_forest(G) == _star_by_definition(G), G
+
+
 def test_matches():
     S = StarMatrix.from_text_rows(["*1", "**"])
     assert matches(S, Mat(QQ, [[5, 1], [2, 3]]))
