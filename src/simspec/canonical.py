@@ -5,7 +5,10 @@ the diagonal stabilizer: a greedy lexicographic pass picks a forest of
 positions that can be scaled to 1, and one torus solve per component makes
 them 1.  The surviving data (eigenvalues, forest, star pattern, free
 parameters) is a complete orbit invariant; the conjugating witness g is
-returned and checked against the reconstituted pair on every call.
+returned and checked against the reconstituted pair on every call.  The
+eigenvectors and their dual basis come from Krylov rows, and the check
+needs no inverse: g A1 = D g with nonzero rows and distinct eigenvalues
+makes g invertible, and then g A2 = A2c g proves g A2 g^-1 = A2c.
 
 One body serves Q and F_p: it runs the kernels on raw entry values (ints mod
 p or Fractions), and only root finding and scalar inverses depend on the
@@ -93,14 +96,17 @@ class CanonicalPair:
                 return val
         raise KeyError((i, j))
 
-    def reconstituted(self) -> MatrixPair:
-        """The member of the class with 1 at 1 cells, 0 at 0 cells and the
-        stored parameters at * cells."""
-        vals = dict(self.params)
-        rows = [[vals[(i, j)] if sym == STAR else int(sym)
+    def A2_values(self) -> list:
+        """The canonical A2 as raw row lists: 1 at 1 cells, 0 at 0 cells and
+        the stored parameters at * cells."""
+        vals = {pos: v.value for pos, v in self.params}
+        return [[vals[(i, j)] if sym == STAR else int(sym)
                  for j, sym in enumerate(row, start=1)]
                 for i, row in enumerate(self.star.cells, start=1)]
-        return MatrixPair(Mat.diag(self.field, self.eigs), Mat(self.field, rows))
+
+    def reconstituted(self) -> MatrixPair:
+        """The member of the class: diag(eigs) and A2_values()."""
+        return MatrixPair(Mat.diag(self.field, self.eigs), Mat(self.field, self.A2_values()))
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,12 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     """Reduce P to its canonical pair; conjugate(result.g, P) equals the
     reconstituted canonical pair exactly (checked per call: a failure raises
     VerificationError).  The work runs on raw entry values through the
-    kernels; FieldElements are made only for the returned data."""
+    kernels; FieldElements are made only for the returned data.  A wrong
+    g0^-1 can only fail the check, and u_a . w_a = 0 raises VerificationError."""
     field, n, p = P.field, P.n, P.field.p
     _require_field_size(field, n)
     A1, A2 = P.A1.values(), P.A2.values()
-    g0, roots = _eigenbasis(A1, field)   # raises NotSimpleSpectrumError
-    g0inv = kernels.inverse_mod(g0, p)
-    if g0inv is None:
-        raise VerificationError("eigenvector rows must be independent")
+    g0, roots, g0inv = _eigenbasis(A1, field)   # raises NotSimpleSpectrumError
     A2p = kernels.matmul_mod(kernels.matmul_mod(g0, A2, p), g0inv, p)
 
     # greedy forest: cross-component nonzero positions in lex order become 1
@@ -162,7 +166,7 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     # witness check without inverses: g X = Y g for both components
     # D g for D = diag(roots) is g with row i scaled by roots[i]
     Dg = [[kernels.red(a * x, p) for x in row] for a, row in zip(roots, g)]
-    if not (kernels.matmul_mod(g, A1, p) == Dg
+    if not (all(map(any, g)) and kernels.matmul_mod(g, A1, p) == Dg
             and kernels.matmul_mod(g, A2, p) == kernels.matmul_mod(A2c, g, p)):
         raise VerificationError("witness fails to transform")
 
@@ -170,10 +174,10 @@ def canonicalize(P: MatrixPair) -> CanonResult:
     params = tuple(((i, j), field.elem(A2c[i - 1][j - 1]))
                    for i, j in star.star_positions())
     canon = CanonicalPair(n, field, eigs, graph, star, params)
-    recon = canon.reconstituted()
-    if not matches(star, recon.A2):
+    B = canon.A2_values()
+    if not matches(star, B):
         raise VerificationError("pattern violated by canonical output")
-    if recon.A2.values() != A2c:
+    if B != A2c:
         raise VerificationError("reconstituted pair differs from the reduced A2")
     return CanonResult(canon, Mat(field, g))
 

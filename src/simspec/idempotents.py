@@ -59,24 +59,22 @@ class EntryProbe(NcPoly):
     """H_i x2 H_j as an NcPoly in two letters, tagged with (a, i, j).
 
     Equality, hashing and text are those of the expanded NcPoly, built on first
-    use; the tag tells an evaluator which table entry to read, and the degree
-    is deg H_i + 1 + deg H_j, exact as the words x1^k x2 x1^l never cancel.
+    use; the tag tells an evaluator which table entry to read.  The degree is
+    2n - 1 without building H_i or H_j: each Lagrange polynomial has degree
+    n - 1, and the words x1^k x2 x1^l never cancel.
     """
 
-    __slots__ = ("eigs", "i", "j", "formal_degree", "_factors", "_expanded")
+    __slots__ = ("eigs", "i", "j", "formal_degree", "_expanded")
 
     def __init__(self, a: tuple, i: int, j: int):
-        hi, hj = _idempotent_cached(a, i), _idempotent_cached(a, j)
-        degree = hi.formal_degree + 1 + hj.formal_degree
-        for name, val in (("field", a[0].field), ("m", 2), ("_hash", None), ("eigs", a),
-                          ("i", i), ("j", j), ("formal_degree", degree),
-                          ("_factors", (hi, hj)), ("_expanded", None)):
+        for name, val in (("field", a[0].field), ("m", 2), ("_hash", None), ("_expanded", None),
+                          ("eigs", a), ("i", i), ("j", j), ("formal_degree", 2 * len(a) - 1)):
             object.__setattr__(self, name, val)
 
     @property
     def _terms(self) -> dict:
         if self._expanded is None:
-            hi, hj = self._factors
+            hi, hj = _idempotent_cached(self.eigs, self.i), _idempotent_cached(self.eigs, self.j)
             out = hi * NcPoly.letter(self.field, 2, m=2) * hj
             object.__setattr__(self, "_expanded", out._terms)
         return self._expanded

@@ -10,6 +10,9 @@ First-nonzero pivoting everywhere, so results are deterministic.
 Eigenvalues in F_p come from a scan of the residues, rational eigenvalues
 from the divisors of two coefficients, tested by integer Horner; both scans
 stop once the polynomial is split and are bounded by MAX_ROOT_SCAN.
+Diagonalizing needs no nullspace or inverse: with q_a = charpoly / (x - a),
+a nonzero row (column) u_a (w_a) of q_a(A) is a left (right) eigenvector for
+a, summed from Krylov rows e_i A^k, and the w_a / (u_a . w_a) are g^-1.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import isqrt, prod
+from operator import mul
 
 from . import kernels
 from .errors import (
@@ -195,25 +199,16 @@ def inverse(M: Mat) -> Mat:
     return Mat(M.field, inv)
 
 
-def _nullspace(A, p) -> list:
-    """Canonical RREF basis of the right nullspace of raw rows A."""
-    R, pivots = kernels.rref_mod(A, p)
-    basis = []
-    for f in range(len(A[0])):
-        if f in pivots:
-            continue
-        v = [0] * len(A[0])
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = kernels.red(-R[r][f], p)
-        basis.append(v)
-    return basis
-
-
 def nullspace_basis(M: Mat) -> list[tuple[FieldElement, ...]]:
     """Canonical RREF basis of the right nullspace, as row tuples."""
-    return [tuple(M.field.elem(x) for x in v)
-            for v in _nullspace(M._rows, M.field.p)]
+    R, pivots = kernels.rref_mod(M._rows, M.field.p)
+    basis = []
+    for f in [j for j in range(M.ncols) if j not in pivots]:
+        v = [int(j == f) for j in range(M.ncols)]
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][f]
+        basis.append(tuple(map(M.field.elem, v)))
+    return basis
 
 
 def charpoly(M: Mat) -> tuple[FieldElement, ...]:
@@ -316,25 +311,57 @@ def eigs_in_field(M: Mat) -> list[tuple[FieldElement, int]]:
 # diagonalization and conjugation
 # ---------------------------------------------------------------------------
 
+def _krylov_eigenvectors(A, qs, p) -> list:
+    """Per q_a = f / (x - a) (f the charpoly of the rows A, leading first),
+    the first nonzero row of q_a(A): a left eigenvector, as q_a(A) (A - a) =
+    f(A) = 0, from the Krylov rows e_i A^k (k < n) of the rows i it needs."""
+    n, cols, krylov, out = len(A), list(zip(*A)), [], []
+    for q in qs:
+        for i in range(n):
+            if i == len(krylov):        # the rows e_i A^k as columns, k descending
+                rows = [[int(j == i) for j in range(n)]]
+                for _ in range(n - 1):
+                    rows.append([kernels.red(sum(map(mul, rows[-1], c)), p) for c in cols])
+                krylov.append(list(zip(*reversed(rows))))
+            v = [kernels.red(sum(map(mul, q, col)), p) for col in krylov[i]]
+            if any(v):
+                break
+        else:   # q_a(A) != 0: distinct roots make the minimal polynomial f
+            raise VerificationError("a simple eigenvalue has no eigenvector")
+        out.append(v)
+    return out
+
+
 def _eigenbasis(A, field: Field):
-    """(g, eigenvalues) on raw rows: the eigenvalues of A ascending, and as
-    rows of g the canonical nullspace vectors of A^T - a I.  Raises
-    NotSimpleSpectrumError unless A has n distinct eigenvalues in field."""
+    """(g, eigenvalues, g^-1) on raw rows: the eigenvalues of A ascending and
+    as rows of g its left eigenvectors with last nonzero coordinate 1, the
+    canonical nullspace vectors of A^T - a I; over Q on the ints N = dA,
+    whose eigenvalues d a are integers.  Raises NotSimpleSpectrumError
+    unless A has n distinct eigenvalues in field."""
     n, p = len(A), field.p
+    f = kernels.charpoly_mod(A, p)
     # n roots of a degree-n polynomial are all simple
-    roots = [a for a, _ in _roots(kernels.charpoly_mod(A, p), p)]
+    roots = [a for a, _ in _roots(f, p)]
     if len(roots) != n:
         raise NotSimpleSpectrumError(
             "matrix does not have %d distinct eigenvalues in %r" % (n, field))
-    g = []
-    for a in roots:
-        shifted = [[kernels.red(x - a, p) if i == j else x for i, x in enumerate(col)]
-                   for j, col in enumerate(zip(*A))]
-        basis = _nullspace(shifted, p)
-        if len(basis) != 1:
-            raise VerificationError("a simple eigenvalue has a line of eigenvectors")
-        g.append(basis[0])
-    return g, roots
+    N, shifted = A, roots
+    if p is None:
+        flat, d = kernels._ints([x for row in A for x in row])
+        N = [flat[k:k + n] for k in range(0, n * n, n)]
+        f, shifted = [int(c * d ** k) for k, c in enumerate(f)], [int(a * d) for a in roots]
+    qs = [list(itertools.accumulate(f[:-1], lambda q, c: kernels.red(c + a * q, p)))
+          for a in shifted]            # q_a = f / (x - a) by synthetic division
+    g, cols = [], []
+    for u, w in zip(*(_krylov_eigenvectors(M, qs, p) for M in (N, list(zip(*N))))):
+        s = kernels.inv_scalar(next(x for x in reversed(u) if x), p)
+        dot = kernels.red(sum(map(mul, u, w)) * s, p)    # u_a . w_b = 0 for a != b
+        if not dot:
+            raise VerificationError("left and right eigenvectors are orthogonal")
+        t = kernels.inv_scalar(dot, p)
+        g.append([kernels.red(x * s, p) for x in u])
+        cols.append([kernels.red(x * t, p) for x in w])
+    return g, roots, [list(row) for row in zip(*cols)]
 
 
 def diagonalizer(A1: Mat) -> tuple[Mat, list[FieldElement]]:
@@ -342,7 +369,7 @@ def diagonalizer(A1: Mat) -> tuple[Mat, list[FieldElement]]:
     nullspace vectors of (A1^T - a I)."""
     if not A1.is_square():
         raise ValueError("matrix is not square")
-    g, roots = _eigenbasis(A1._rows, A1.field)
+    g, roots, _ = _eigenbasis(A1._rows, A1.field)
     return Mat(A1.field, g), [A1.field.elem(a) for a in roots]
 
 

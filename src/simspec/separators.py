@@ -79,7 +79,7 @@ class ProbeEvaluator:
         self._p = p = P.field.p
         self._one = P.field.raw(1)
         self._lam = [lam.value for lam in self.eigs]
-        self._B = canon.reconstituted().A2.values()
+        self._B = canon.A2_values()
         e = [self._one] + [0] * P.n
         for lam in self._lam:
             e = [e[0]] + [kernels.red(e[k] + e[k - 1] * lam, p) for k in range(1, len(e))]

@@ -199,10 +199,11 @@ def forest_from_star(S: StarMatrix) -> Digraph:
 
 
 def matches(S: StarMatrix, M) -> bool:
-    """True iff M has 0 at every 0 cell and 1 at every 1 cell of S."""
-    if S.n != M.nrows or S.n != M.ncols:
+    """True iff M, a Mat or row lists, has 0 at every 0 and 1 at every 1 cell of S."""
+    rows = M if isinstance(M, list) else M.values()
+    if S.n != len(rows) or S.n != len(rows[0]):
         raise ValueError("size mismatch")
-    for syms, row in zip(S.cells, M.values()):
+    for syms, row in zip(S.cells, rows):
         for sym, x in zip(syms, row):
             if (sym == ZERO and x) or (sym == ONE and x != 1):
                 return False

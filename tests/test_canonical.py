@@ -257,25 +257,26 @@ def test_canonical_pair_structural_equality(rng):
 # Each script breaks one step of canonicalize's one body, so that the witness
 # it returns is wrong, and runs under python -O, where assert statements are
 # dropped: the Q script swaps two eigenvector rows, the F_p script puts an
-# off-by-one entry into the inverse of the eigenvector matrix.
+# off-by-one entry into the inverse of the eigenvector matrix that
+# _eigenbasis returns with it.
 _BREAK_Q = """
 import simspec.canonical as canonical
 real = canonical._eigenbasis
 def swapped(A, field):
-    g0, roots = real(A, field)
+    g0, roots, g0inv = real(A, field)
     g0[0], g0[1] = g0[1], g0[0]
-    return g0, roots
+    return g0, roots, g0inv
 canonical._eigenbasis = swapped
 """
 
 _BREAK_FP = """
-from simspec import kernels
-real = kernels.inverse_mod
-def off_by_one(A, p):
-    inv = real(A, p)
-    inv[0][0] = (inv[0][0] + 1) % p
-    return inv
-kernels.inverse_mod = off_by_one
+import simspec.canonical as canonical
+real = canonical._eigenbasis
+def off_by_one(A, field):
+    g0, roots, inv = real(A, field)
+    inv[0][0] = (inv[0][0] + 1) % field.p
+    return g0, roots, inv
+canonical._eigenbasis = off_by_one
 """
 
 _CHECK = """

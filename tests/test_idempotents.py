@@ -152,6 +152,18 @@ def test_lazy_entry_probe_matches_eager_product(rng, field):
                 assert entry_probe_poly(a, i, j) == eager
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(11)], ids=["Q", "F11"])
+def test_entry_probe_degree_is_its_expansions(rng, field):
+    """The degree an entry probe states without expanding, 2n - 1, is the
+    degree of its expanded terms, for every (i, j)."""
+    for n in range(2, 6):
+        a = _sample_eigs(field, n, rng)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                probe = EntryProbe(a, i, j)
+                assert probe.formal_degree == NcPoly.formal_degree.fget(probe) == 2 * n - 1
+
+
 def test_equal_decision_expands_no_entry_probe(monkeypatch, field):
     """An equal n = 5 rank decision evaluates every probe but only reads the
     entry probes' tags and degrees: none is expanded into words."""

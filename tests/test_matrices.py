@@ -8,6 +8,7 @@ from simspec.errors import NotSimpleSpectrumError, ResourceGuardError, SingularM
 from simspec.fields import QQ, PrimeField, field_cmp
 from simspec.matrices import (
     Mat,
+    _eigenbasis,
     charpoly,
     conjugate,
     det,
@@ -232,6 +233,51 @@ def test_diagonalizer_property(rng, field):
         g, eigs = diagonalizer(A)
         assert conjugate(g, A) == Mat.diag(field, eigs)
         assert all(field_cmp(a, b) < 0 for a, b in zip(eigs, eigs[1:]))
+
+
+def _companion(field, vals):
+    """The companion matrix of prod (x - v): ones below the diagonal, minus
+    the coefficients in the last column."""
+    coeffs = [field.one]                    # ascending
+    for v in map(field.elem, vals):
+        coeffs = [lo - hi * v for lo, hi in zip([field.zero] + coeffs, coeffs + [field.zero])]
+    n = len(vals)
+    return Mat(field, [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]]
+                       for i in range(n)])
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(7), PrimeField(11), QQ],
+                         ids=["F5", "F7", "F11", "Q"])
+def test_krylov_eigenbasis_matches_nullspaces_and_inverse(field):
+    """_eigenbasis's Krylov eigenvectors and dual basis equal their
+    definition: per eigenvalue the one RREF nullspace vector of A^T - a I,
+    and the Gauss-Jordan inverse of the matrix of those rows.  Diagonal and
+    permuted-diagonal A leave e_1 non-cyclic, so every eigenvalue but one
+    needs a later e_i; over Q the eigenvalues and conjugators carry
+    denominators."""
+    rng = random.Random(16)
+    for n in range(1, 7):
+        if not field.is_rationals and field.p < n:
+            continue
+        for _ in range(6):
+            if field.is_rationals:
+                vals = [Fraction(v, rng.choice([1, 2, 3])) for v in rng.sample(range(-9, 10), n)]
+                if len(set(vals)) < n:
+                    continue
+            else:
+                vals = rng.sample(range(field.p), n)
+            perm = rng.sample(range(n), n)
+            swap = Mat(field, [[int(perm[i] == j) for j in range(n)] for i in range(n)])
+            g = random_invertible(field, n, rng)
+            D = Mat.diag(field, vals)
+            for A in (D, conjugate(swap, D), _companion(field, vals), conjugate(g, D)):
+                rows, roots, inv = _eigenbasis(A.values(), field)
+                eigs = [a for a, _ in eigs_in_field(A)]
+                ref = Mat(field, [nullspace_basis(A.transpose() - Mat.diag(field, [a] * n))[0]
+                                  for a in eigs])
+                assert [field.elem(a) for a in roots] == eigs
+                assert Mat(field, rows) == ref
+                assert Mat(field, inv) == inverse(ref)
 
 
 def test_diagonalizer_rejects_non_simple():
