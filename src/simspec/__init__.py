@@ -42,8 +42,6 @@ from .separators import (
 from .staircase import (
     StaircaseCert,
     ThreeDiagSeq,
-    reduce_all_reversed,
-    reduce_mixed,
     staircase_cert,
     td_matrices,
     verify_cert,

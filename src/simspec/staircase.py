@@ -2,29 +2,32 @@
 
 A sequence S is described by pairwise-distinct indices i1..i{k+1} and flags
 delta in {FWD, REV}^k: the l-th matrix is E_{i_l i_{l+1}} for FWD and its
-transpose for REV.  For every S there are words ws = (w1..wr) (r odd) and u1,
-u2 such that for all alpha
+transpose for REV.  For every S there is a StaircaseCert: words ws =
+(w1..wr) (r odd) and u1, u2 such that for all alpha
 
     rank(Alt(w1(S),..,wr(S)) + alpha * u1(S) E_{i1 i_{k+1}} u2(S))
         = (r-1)/2 if alpha = -1, else (r+1)/2,
 
-with deg(u1)+deg(u2)+1 <= k+2 and deg(w_l) <= k.  The construction is a
-recursion over the flag pattern:
+with deg(u1)+deg(u2)+1 <= k+2 and deg(w_l) <= k.  The values w1(S)..wr(S)
+are a staircase E_{c1 c2}, E_{c3 c2}, E_{c3 c4}, .. on distinct indices
+c1..c{r+1}, and the sandwich u1(S) E_{i1 i_{k+1}} u2(S) is its corner
+E_{c1 c{r+1}}; r = 1 is a single elementary word.  The construction is a
+recursion over the flag pattern, and every level returns a StaircaseCert:
 
+* an all-REV sequence is a base case: u1 = x1 and u2 = xk..x1 collapse the
+  sandwich back to the first matrix, which is w1 = x1 (that word set is
+  deliberately not multilinear; its degree sum is exactly k+1, still within
+  the k+2 budget);
 * adjacent equal flags contract into one letter (the merged word evaluates to
   the merged elementary matrix), shortening the sequence;
 * a REV prefix and/or suffix is stripped by absorbing it into u1/u2, which
   moves the corner matrix to the stripped subsequence's corner;
-* what remains is strictly alternating starting and ending FWD: for k = 1 a
-  single rank-one word, for odd k >= 3 a staircase whose alternating sum plus
-  alpha times its corner has the displayed rank.
+* what remains is strictly alternating starting and ending FWD, so k is odd
+  and x1..xk is a staircase as it stands (the single word x1 at k = 1).
 
-An all-REV sequence bypasses the recursion: u1 = x1 and u2 = xk..x1 satisfy
-u1(S) E u2(S) = w1(S) with w1 = x1 (that word pair is deliberately not
-multilinear; its degree sum is exactly k+1, still within the k+2 budget).
-
-Every outcome is re-verified on the concrete matrices before being returned;
-staircase_cert does this once per flag pattern and memoizes the result.
+Contraction and stripping relabel the shorter sequence's certificate into the
+letters of the longer one.  staircase_cert checks the result on the concrete
+matrices, all-REV patterns included, once per flag pattern and memoizes it.
 """
 
 from __future__ import annotations
@@ -76,46 +79,41 @@ def td_matrices(S: ThreeDiagSeq, field: Field) -> list[Mat]:
 
 
 @dataclass(frozen=True)
-class SingleWordOutcome:
-    """u1(S) E_{i1 i_{k+1}} u2(S) = w(S), a single one-entry matrix.
-
-    w is the (possibly contracted) letter: a plain letter when no contraction
-    happened, otherwise the merged word evaluating to the contracted matrix.
-    """
-
-    u1: Word
-    u2: Word
-    w: Word
-
-
-@dataclass(frozen=True)
-class StaircaseOutcome:
-    """(w1(S),..,wr(S)) is a staircase with foundation u1(S) E u2(S)."""
+class StaircaseCert:
+    """Words certifying the rank formula for one three-diagonal sequence."""
 
     ws: tuple
     u1: Word
     u2: Word
 
+    @property
+    def r(self) -> int:
+        return len(self.ws)
 
-def reduce_all_reversed(S: ThreeDiagSeq) -> tuple[Word, Word]:
-    """u1 = x1, u2 = xk..x1 for an all-REV sequence; the sandwich product
-    collapses back to the first matrix, and deg(u1)+deg(u2) = k+1."""
-    if any(d != REV for d in S.delta):
-        raise ValueError("sequence has a FWD flag")
-    k = S.k
-    return (1,), tuple(range(k, 0, -1))
-
-
-def _map_word(w: Word, mapping) -> Word:
-    return tuple(x for s in w for x in mapping(s))
+    def to_json(self):
+        return {"r": self.r,
+                "ws": [word_text(w) for w in self.ws],
+                "u1": word_text(self.u1),
+                "u2": word_text(self.u2)}
 
 
-def _reduce(S: ThreeDiagSeq):
+def _relabel(cert: StaircaseCert, phi, u1_tail: Word = (),
+             u2_head: Word = ()) -> StaircaseCert:
+    """cert with every letter s replaced by the word phi(s), then u1_tail
+    appended to u1 and u2_head prepended to u2."""
+    def lift(w: Word) -> Word:
+        return tuple(x for s in w for x in phi(s))
+
+    return StaircaseCert(tuple(lift(w) for w in cert.ws),
+                         lift(cert.u1) + u1_tail, u2_head + lift(cert.u2))
+
+
+def _reduce(S: ThreeDiagSeq) -> StaircaseCert:
     k = S.k
     delta = S.delta
-    if k == 1:
-        # precondition: some FWD flag, so the single flag is FWD
-        return SingleWordOutcome((), (), (1,))
+    if all(d == REV for d in delta):
+        # u1(S) E u2(S) collapses back to the first matrix
+        return StaircaseCert(((1,),), (1,), tuple(range(k, 0, -1)))
 
     # contraction: leftmost adjacent equal pair merges into one letter
     for l in range(1, k):
@@ -124,62 +122,27 @@ def _reduce(S: ThreeDiagSeq):
             merged = (l, l + 1) if d == FWD else (l + 1, l)
             sub = ThreeDiagSeq(S.idx[:l] + S.idx[l + 1:],
                                delta[:l - 1] + (d,) + delta[l + 1:], S.n)
-            out = _reduce(sub)
 
-            def phi(s, l=l, merged=merged):
+            def phi(s):
                 if s < l:
                     return (s,)
                 if s == l:
                     return merged
                 return (s + 1,)
 
-            if isinstance(out, SingleWordOutcome):
-                return SingleWordOutcome(_map_word(out.u1, phi),
-                                         _map_word(out.u2, phi),
-                                         _map_word(out.w, phi))
-            return StaircaseOutcome(tuple(_map_word(w, phi) for w in out.ws),
-                                    _map_word(out.u1, phi),
-                                    _map_word(out.u2, phi))
+            return _relabel(_reduce(sub), phi)
 
-    # strictly alternating from here on
-    if delta[0] == FWD and delta[-1] == FWD:
-        # alternation forces odd k; k >= 3 is a staircase as it stands
-        return StaircaseOutcome(tuple((s,) for s in range(1, k + 1)), (), ())
-
-    if delta[0] == FWD:
-        # REV suffix: absorb x_k..x_{l+1} into u2, recurse on the prefix
-        l = max(s for s in range(1, k) if delta[s - 1] == FWD)
-        u1o: Word = ()
-        u2o: Word = tuple(range(k, l, -1))
-        sub = ThreeDiagSeq(S.idx[:l + 1], delta[:l], S.n)
-        off = 0
-    elif delta[-1] == FWD:
-        # REV prefix: absorb x_{l-1}..x_1 into u1, recurse on the suffix
-        l = min(s for s in range(2, k + 1) if delta[s - 1] == FWD)
-        u1o = tuple(range(l - 1, 0, -1))
-        u2o = ()
-        sub = ThreeDiagSeq(S.idx[l - 1:], delta[l - 1:], S.n)
-        off = l - 1
-    else:
-        # REV on both ends, FWD somewhere inside: strip both sides
-        interior = [s for s in range(2, k) if delta[s - 1] == FWD]
-        l, t = min(interior), max(interior)
-        u1o = tuple(range(l - 1, 0, -1))
-        u2o = tuple(range(k, t, -1))
-        sub = ThreeDiagSeq(S.idx[l - 1:t + 1], delta[l - 1:t], S.n)
-        off = l - 1
-    out = _reduce(sub)
-
-    def shift(s, off=off):
-        return (s + off,)
-
-    if isinstance(out, SingleWordOutcome):
-        return SingleWordOutcome(_map_word(out.u1, shift) + u1o,
-                                 u2o + _map_word(out.u2, shift),
-                                 _map_word(out.w, shift))
-    return StaircaseOutcome(tuple(_map_word(w, shift) for w in out.ws),
-                            _map_word(out.u1, shift) + u1o,
-                            u2o + _map_word(out.u2, shift))
+    # strictly alternating from here on; l and t are the first and last FWD
+    fwd = [s for s in range(1, k + 1) if delta[s - 1] == FWD]
+    l, t = fwd[0], fwd[-1]
+    if (l, t) == (1, k):
+        # alternation forces odd k; x1..xk is a staircase as it stands
+        return StaircaseCert(tuple((s,) for s in range(1, k + 1)), (), ())
+    # absorb the REV prefix x_{l-1}..x_1 into u1 and the REV suffix
+    # x_k..x_{t+1} into u2, and recurse on the part from x_l to x_t
+    sub = ThreeDiagSeq(S.idx[l - 1:t + 1], delta[l - 1:t], S.n)
+    return _relabel(_reduce(sub), lambda s: (s + l - 1,),
+                    tuple(range(l - 1, 0, -1)), tuple(range(k, t, -1)))
 
 
 def _single_entry_pos(M: Mat):
@@ -200,22 +163,24 @@ def _check(ok: bool, what: str) -> None:
         raise VerificationError(what)
 
 
-def _verify_outcome(S: ThreeDiagSeq, out) -> None:
+def _check_degrees(S: ThreeDiagSeq, cert: StaircaseCert) -> bool:
+    k = S.k
+    if cert.r % 2 == 0 or not 1 <= cert.r <= k:
+        return False
+    if len(cert.u1) + len(cert.u2) + 1 > k + 2:
+        return False
+    return all(len(w) <= k for w in cert.ws)
+
+
+def _verify(S: ThreeDiagSeq, cert: StaircaseCert) -> None:
+    """Raise VerificationError unless the words evaluate on td_matrices(S)
+    to a staircase whose corner is the sandwich u1(S) E u2(S), are
+    multilinear (all-REV patterns excepted) and keep the degree bounds."""
+    _check(_check_degrees(S, cert), "certificate exceeds its degree bounds")
     mats = td_matrices(S, QQ)
-    corner = Mat.unit(QQ, S.n, S.idx[0], S.idx[-1])
-    sandwich = eval_word(out.u1, mats) @ corner @ eval_word(out.u2, mats)
-    if isinstance(out, SingleWordOutcome):
-        val = eval_word(out.w, mats)
-        _check(val == sandwich, "sandwich does not match the certifying word")
-        _check(_single_entry_pos(val) is not None, "word value is not elementary")
-        _check(is_multilinear(out.u1 + out.u2 + out.w), "words are not multilinear")
-        return
-    r = len(out.ws)
-    _check(r >= 3 and r % 2 == 1, "staircase length must be odd and >= 3")
-    vals = [eval_word(w, mats) for w in out.ws]
     chain = []
-    for l, val in enumerate(vals, start=1):
-        pos = _single_entry_pos(val)
+    for l, w in enumerate(cert.ws, start=1):
+        pos = _single_entry_pos(eval_word(w, mats))
         _check(pos is not None, "staircase member is not elementary")
         a, b = pos
         if l == 1:
@@ -227,50 +192,13 @@ def _verify_outcome(S: ThreeDiagSeq, out) -> None:
             _check(a == chain[-1], "staircase chain breaks at step %d" % l)
             chain.append(b)
     _check(len(set(chain)) == len(chain), "staircase indices repeat")
+    corner = Mat.unit(QQ, S.n, S.idx[0], S.idx[-1])
+    sandwich = eval_word(cert.u1, mats) @ corner @ eval_word(cert.u2, mats)
     _check(sandwich == Mat.unit(QQ, S.n, chain[0], chain[-1]),
            "foundation does not match the staircase corner")
-    flat = out.u1 + out.u2
-    for w in out.ws:
-        flat += w
-    _check(is_multilinear(flat), "words are not multilinear")
-
-
-def reduce_mixed(S: ThreeDiagSeq):
-    """Case analysis for a sequence with at least one FWD flag; the returned
-    outcome is numerically verified on td_matrices(S)."""
-    if all(d == REV for d in S.delta):
-        raise ValueError("all flags are REV; use reduce_all_reversed")
-    out = _reduce(S)
-    _verify_outcome(S, out)
-    return out
-
-
-@dataclass(frozen=True)
-class StaircaseCert:
-    """Words certifying the rank formula for one three-diagonal sequence."""
-
-    ws: tuple
-    u1: Word
-    u2: Word
-
-    @property
-    def r(self) -> int:
-        return len(self.ws)
-
-    def to_json(self):
-        return {"r": self.r,
-                "ws": [word_text(w) for w in self.ws],
-                "u1": word_text(self.u1),
-                "u2": word_text(self.u2)}
-
-
-def _check_degrees(S: ThreeDiagSeq, cert: StaircaseCert) -> bool:
-    k = S.k
-    if cert.r % 2 == 0 or not 1 <= cert.r <= k:
-        return False
-    if len(cert.u1) + len(cert.u2) + 1 > k + 2:
-        return False
-    return all(len(w) <= k for w in cert.ws)
+    if FWD in S.delta:
+        _check(is_multilinear(cert.u1 + cert.u2 + sum(cert.ws, ())),
+               "words are not multilinear")
 
 
 def staircase_cert(S: ThreeDiagSeq) -> StaircaseCert:
@@ -285,21 +213,8 @@ def staircase_cert(S: ThreeDiagSeq) -> StaircaseCert:
 def _cert_for_pattern(delta: tuple) -> StaircaseCert:
     k = len(delta)
     S = ThreeDiagSeq(tuple(range(1, k + 2)), delta, k + 1)
-    if all(d == REV for d in S.delta):
-        u1, u2 = reduce_all_reversed(S)
-        cert = StaircaseCert(((1,),), u1, u2)
-        _check(len(u1) + len(u2) == S.k + 1, "all-REV words have the wrong degree")
-    else:
-        out = reduce_mixed(S)
-        if isinstance(out, SingleWordOutcome):
-            cert = StaircaseCert((out.w,), out.u1, out.u2)
-        else:
-            cert = StaircaseCert(out.ws, out.u1, out.u2)
-        flat = cert.u1 + cert.u2
-        for w in cert.ws:
-            flat += w
-        _check(is_multilinear(flat), "words are not multilinear")
-    _check(_check_degrees(S, cert), "certificate exceeds its degree bounds")
+    cert = _reduce(S)
+    _verify(S, cert)
     return cert
 
 

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,13 +10,9 @@ from simspec.fields import QQ, PrimeField
 from simspec.matrices import Mat, rank
 from simspec.ncpoly import eval_word, is_multilinear
 from simspec.staircase import (
-    SingleWordOutcome,
     StaircaseCert,
-    StaircaseOutcome,
     ThreeDiagSeq,
     cert_matrix,
-    reduce_all_reversed,
-    reduce_mixed,
     staircase_cert,
     td_matrices,
     verify_cert,
@@ -67,54 +66,48 @@ def test_displayed_matrix_k5():
 
 
 def test_reduce_all_reversed():
+    # the all-REV base case: its sandwich is checked like every other pattern's
     for k in range(1, 6):
         S = _seq(range(1, k + 2), (REV,) * k)
-        u1, u2 = reduce_all_reversed(S)
-        assert u1 == (1,) and u2 == tuple(range(k, 0, -1))
-        assert len(u1) + len(u2) == k + 1
+        cert = staircase_cert(S)
+        assert cert == StaircaseCert(((1,),), (1,), tuple(range(k, 0, -1)))
+        assert len(cert.u1) + len(cert.u2) == k + 1
         mats = td_matrices(S, QQ)
         corner = Mat.unit(QQ, k + 1, 1, k + 1)
-        got = eval_word(u1, mats) @ corner @ eval_word(u2, mats)
+        got = eval_word(cert.u1, mats) @ corner @ eval_word(cert.u2, mats)
         assert got == Mat.unit(QQ, k + 1, 2, 1)  # = E_{i1 i2} transposed
-    with pytest.raises(ValueError):
-        reduce_all_reversed(_seq((1, 2), (FWD,)))
+        assert got == eval_word(cert.ws[0], mats)
 
 
 def test_reduce_mixed_base_case():
-    out = reduce_mixed(_seq((1, 2), (FWD,)))
-    assert out == SingleWordOutcome((), (), (1,))
+    assert staircase_cert(_seq((1, 2), (FWD,))) == StaircaseCert(((1,),), (), ())
 
 
 def test_reduce_mixed_alternating():
-    out = reduce_mixed(_seq((1, 2, 3, 4), (FWD, REV, FWD)))
-    assert out == StaircaseOutcome(((1,), (2,), (3,)), (), ())
+    cert = staircase_cert(_seq((1, 2, 3, 4), (FWD, REV, FWD)))
+    assert cert == StaircaseCert(((1,), (2,), (3,)), (), ())
 
 
 def test_reduce_mixed_contraction():
-    out = reduce_mixed(_seq((1, 2, 3), (FWD, FWD)))
-    assert out == SingleWordOutcome((), (), (1, 2))
+    cert = staircase_cert(_seq((1, 2, 3), (FWD, FWD)))
+    assert cert == StaircaseCert(((1, 2),), (), ())
     mats = td_matrices(_seq((1, 2, 3), (FWD, FWD)), QQ)
     corner = Mat.unit(QQ, 3, 1, 3)
     assert eval_word((1, 2), mats) == corner
-    # REV,REV contraction followed by boundary stripping; the lifted outcome
-    # is re-verified numerically inside reduce_mixed
-    out = reduce_mixed(_seq((1, 2, 3, 4), (REV, REV, FWD)))
-    assert isinstance(out, SingleWordOutcome)
+    # REV,REV contraction followed by boundary stripping; the lifted
+    # certificate is re-verified numerically inside staircase_cert
+    cert = staircase_cert(_seq((1, 2, 3, 4), (REV, REV, FWD)))
+    assert cert.r == 1
 
 
 def test_reduce_mixed_worked_paths():
     # path patterns behind the worked 4x4 example
-    out = reduce_mixed(_seq((3, 2, 1), (REV, FWD), 4))
-    assert out == SingleWordOutcome((1,), (), (2,))
-    out = reduce_mixed(_seq((4, 1, 2), (FWD, REV), 4))
-    assert out == SingleWordOutcome((), (2,), (1,))
-    out = reduce_mixed(_seq((4, 1, 2, 3), (FWD, REV, FWD), 4))
-    assert out == StaircaseOutcome(((1,), (2,), (3,)), (), ())
-
-
-def test_reduce_mixed_requires_fwd():
-    with pytest.raises(ValueError):
-        reduce_mixed(_seq((1, 2, 3), (REV, REV)))
+    cert = staircase_cert(_seq((3, 2, 1), (REV, FWD), 4))
+    assert cert == StaircaseCert(((2,),), (1,), ())
+    cert = staircase_cert(_seq((4, 1, 2), (FWD, REV), 4))
+    assert cert == StaircaseCert(((1,),), (), (2,))
+    cert = staircase_cert(_seq((4, 1, 2, 3), (FWD, REV, FWD), 4))
+    assert cert == StaircaseCert(((1,), (2,), (3,)), (), ())
 
 
 @pytest.mark.parametrize("fieldname", ["Q", "F7"])
@@ -172,19 +165,64 @@ def test_cert_json():
     assert cert.to_json() == {"r": 1, "ws": ["x1"], "u1": "x1", "u2": "x2.x1"}
 
 
-def test_certificate_built_once_per_pattern_and_checked(monkeypatch):
+# wrong _reduce results for patterns not yet memoized: a broken staircase, an
+# r = 1 word whose value is not elementary, and an all-REV certificate whose
+# u2 has the right length but the wrong order
+WRONG_REDUCTIONS = {
+    "broken-staircase": ((REV, FWD, REV, FWD, REV, FWD),
+                         StaircaseCert(((1,), (2,), (3,)), (), ())),
+    "not-elementary": ((FWD, REV, FWD), StaircaseCert(((1, 2),), (), ())),
+    "all-rev-u2-order": ((REV,) * 4, StaircaseCert(((1,),), (1,), (1, 2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_REDUCTIONS))
+def test_certificate_built_once_per_pattern_and_checked(monkeypatch, case):
     import simspec.staircase as staircase
 
     delta = (FWD, REV, FWD)
     first = staircase_cert(_seq((1, 2, 3, 4), delta))
     assert staircase_cert(_seq((5, 3, 1, 2), delta, 6)) is first
-    # a wrong outcome for a pattern not yet memoized still fails its check
-    pattern = (REV, FWD, REV, FWD, REV, FWD)
+    pattern, wrong = WRONG_REDUCTIONS[case]
     staircase._cert_for_pattern.cache_clear()
-    monkeypatch.setattr(staircase, "_reduce",
-                        lambda S: StaircaseOutcome(((1,), (2,), (3,)), (), ()))
+    monkeypatch.setattr(staircase, "_reduce", lambda S: wrong)
     try:
         with pytest.raises(VerificationError):
-            staircase_cert(_seq(range(1, 8), pattern))
+            staircase_cert(_seq(range(1, len(pattern) + 2), pattern))
     finally:
         staircase._cert_for_pattern.cache_clear()
+
+
+# The all-REV mutation again, under python -O where assert statements are
+# dropped: the certificate check must still raise, and the CLI must exit 3
+# with nothing on stdout.
+_BREAK_ALL_REV = """
+import sys
+assert sys.flags.optimize == 1
+import simspec.staircase as staircase
+from simspec.cli import main
+from simspec.errors import VerificationError
+from simspec.stargraph import REV
+staircase._reduce = lambda S: staircase.StaircaseCert(
+    ((1,),), (1,), tuple(range(1, S.k + 1)))
+try:
+    staircase.staircase_cert(staircase.ThreeDiagSeq((1, 2, 3, 4, 5), (REV,) * 4, 5))
+except VerificationError as exc:
+    print("raised:", exc)
+sys.exit(main(["staircase", "--k", "3", "--delta", "RRR"]))
+"""
+
+
+def test_wrong_all_rev_certificate_raises_under_python_O():
+    import simspec
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simspec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BREAK_ALL_REV],
+                          capture_output=True, text=True, env=env)
+    assert ("raised: foundation does not match the staircase corner"
+            in proc.stdout), proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert proc.stdout.count("\n") == 1      # nothing on stdout from the CLI
