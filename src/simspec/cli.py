@@ -22,7 +22,7 @@ from .canonical import (
     orbit_eq_brute,
     orbit_eq_canonical,
 )
-from .errors import InputFormatError, SimspecError, VerificationError
+from .errors import InputFormatError, ResourceGuardError, SimspecError, VerificationError
 from .fields import QQ, PrimeField, parse_field
 from .matrices import conjugate, order_gl, rank
 from .sampling import random_invertible, random_simple_spectrum_pair
@@ -66,6 +66,21 @@ def _load_pair(path: str) -> MatrixPair:
 
 def _emit(obj) -> None:
     print(dumps(obj))
+
+
+def _positive(text: str) -> int:
+    """argparse type of --n, --k and --trials: an int >= 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError("%s is not >= 1" % text)
+    return value
+
+
+def _prime(text: str) -> int:
+    """argparse type of --p: a modulus that PrimeField accepts."""
+    try:
+        return PrimeField(int(text)).p
+    except (ValueError, ResourceGuardError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _brute_feasible(n: int, p: int, max_order: int) -> bool:
@@ -112,7 +127,7 @@ def _cmd_type_eq(args) -> int:
 
 
 def _cmd_forests(args) -> int:
-    forests = enumerate_forests(args.n, max_n=max(args.n, 5))
+    forests = enumerate_forests(args.n)
     out = {"n": args.n, "count": len(forests), "forests": []}
     for G in forests:
         item = serialize.digraph_to_json(G)
@@ -253,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_type_eq)
 
     c = sub.add_parser("forests", help="enumerate directed forests")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_positive, required=True, help="1 to 5")
     c.add_argument("--stars", action="store_true")
     c.set_defaults(func=_cmd_forests)
 
     c = sub.add_parser("staircase", help="certificate and rank table for a flag pattern")
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_positive, required=True)
     c.add_argument("--delta", required=True, help="string over {F,R} of length k")
     c.add_argument("--alpha", help="comma-separated scalars")
     c.add_argument("--field", help='"Q" or "F<p>"')
@@ -268,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite", choices=["staircase", "counterexamples", "oracle"],
                    required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--p", type=int, default=7)
-    c.add_argument("--n", type=int, default=3)
-    c.add_argument("--k", type=int, default=5)
-    c.add_argument("--trials", type=int, default=50)
+    c.add_argument("--p", type=_prime, default=7)
+    c.add_argument("--n", type=_positive, default=3)
+    c.add_argument("--k", type=_positive, default=5)
+    c.add_argument("--trials", type=_positive, default=50)
     c.add_argument("--quick", action="store_true")
     c.add_argument("--max-gl-order", type=int, default=20_000_000)
     c.set_defaults(func=_cmd_verify)

@@ -4,8 +4,9 @@ word evaluator, and the GL_n(F_p) search kernel.
 matmul_mod, rref_mod, rank_mod, det_mod, inverse_mod, charpoly_mod and
 eval_words_mod take rows of raw values: Python ints reduced mod p, exact at
 every p, or rationals when p is None.  Over Q the first six run on ints under
-one denominator per row (per matrix in charpoly_mod), eliminate fraction-free
-(Bareiss), and make ``Fraction``s, never ints, only for rational outputs.
+one denominator per row (per matrix in charpoly_mod) and make ``Fraction``s,
+never ints, only for rational outputs.  rref, rank, det and inverse read one
+elimination: fraction-free (Bareiss) over Q, with unit pivots over F_p.
 
 numpy is used only by conjugator_search_mod (the GL_n(F_p) oracle), on int64
 arrays, and is imported on its first call, so importing simspec does not load
@@ -47,13 +48,17 @@ def _ints(row):
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def _bareiss(M):
-    """Fraction-free Gauss-Jordan on int rows M, in place (Bareiss, Math.
-    Comp. 22, 1968): each update divides exactly by the previous pivot, so the
-    entries stay minors of M, and M ends as d times its RREF, d the last
-    pivot.  Returns (pivot columns, d, swap sign); det M = sign * d at full rank."""
+def _eliminate(M, p):
+    """Gauss-Jordan on the rows M, in place, pivoting on the first nonzero
+    entry of each column, so the result is deterministic.  Over Q, on int
+    rows, it is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
+    divides exactly by the previous pivot, so the entries stay minors of M,
+    and M ends as scale times its RREF, scale the last pivot.  Over F_p each
+    pivot row is scaled to a unit pivot, so M ends as its RREF and scale is
+    the product of the pivots.  Returns (pivot columns, scale, swap sign);
+    det M = sign * scale at full rank."""
     nrows, ncols = len(M), len(M[0])
-    pivots, prev, sign = [], 1, 1
+    pivots, scale, sign = [], 1, 1
     for col in range(ncols):
         piv = len(pivots)
         if piv == nrows:
@@ -64,14 +69,27 @@ def _bareiss(M):
         if sel != piv:
             M[piv], M[sel] = M[sel], M[piv]
             sign = -sign
-        prow, d = M[piv], M[piv][col]
-        for r in range(nrows):
-            if r != piv:
-                f = M[r][col]
-                M[r] = [(d * x - f * y) // prev for x, y in zip(M[r], prow)]
+        d = M[piv][col]
+        if p is None:
+            prow, prev, scale = M[piv], scale, d
+            for r in range(nrows):
+                if r != piv:
+                    f = M[r][col]
+                    M[r] = [(d * x - f * y) // prev for x, y in zip(M[r], prow)]
+        else:
+            inv, scale = pow(d, -1, p), scale * d % p
+            prow = M[piv] = [x * inv % p for x in M[piv]]
+            for r in range(nrows):
+                if r != piv and M[r][col]:
+                    f = M[r][col]
+                    M[r] = [(x - f * y) % p for x, y in zip(M[r], prow)]
         pivots.append(col)
-        prev = d
-    return pivots, prev, sign
+    return pivots, scale, sign
+
+
+def _rows(A, p):
+    """A fresh copy of A's rows for _eliminate; over Q, each row as ints."""
+    return [_ints(row)[0] for row in A] if p is None else [list(row) for row in A]
 
 
 def matmul_mod(A, B, p):
@@ -84,67 +102,29 @@ def matmul_mod(A, B, p):
 
 
 def rref_mod(A, p):
-    """(reduced row echelon form, pivot columns) of A; first-nonzero
-    pivoting, so the result is deterministic.  Over Q, of A's rows as ints."""
-    if p is None:
-        M = [_ints(row)[0] for row in A]
-        pivots, d, _ = _bareiss(M)
-        return [[Fraction(x, d) for x in row] for row in M], pivots
-    R = [list(r) for r in A]
-    nrows, ncols = len(R), len(R[0])
-    pivots = []
-    for col in range(ncols):
-        piv = len(pivots)
-        if piv == nrows:
-            break
-        sel = next((r for r in range(piv, nrows) if R[r][col]), None)
-        if sel is None:
-            continue
-        R[piv], R[sel] = R[sel], R[piv]
-        inv = pow(R[piv][col], -1, p)
-        prow = R[piv] = [x * inv % p for x in R[piv]]
-        for r in range(nrows):
-            if r != piv and R[r][col]:
-                f = R[r][col]
-                R[r] = [(x - f * y) % p for x, y in zip(R[r], prow)]
-        pivots.append(col)
-    return R, pivots
+    """(reduced row echelon form, pivot columns) of A, by _eliminate."""
+    M = _rows(A, p)
+    pivots, d, _ = _eliminate(M, p)
+    return (M if p is not None else [[Fraction(x, d) for x in row] for row in M]), pivots
 
 
-# rank_mod, inverse_mod and eval_words_mod call rref_mod and matmul_mod by
-# these names, so that a wrapper bound to a public name counts only outside
-# calls
+# inverse_mod and eval_words_mod call rref_mod and matmul_mod by these names,
+# so that a wrapper bound to a public name counts only outside calls
 _rref = rref_mod
 _matmul = matmul_mod
 
 
 def rank_mod(A, p):
-    return len(_bareiss([_ints(row)[0] for row in A])[0] if p is None else _rref(A, p)[1])
+    return len(_eliminate(_rows(A, p), p)[0])
 
 
 def det_mod(A, p):
-    """Determinant by elimination with swap sign tracking; over Q, _bareiss."""
-    if p is None:
-        rows = list(map(_ints, A))
-        pivots, d, sign = _bareiss([row for row, _ in rows])
-        return Fraction(sign * d if len(pivots) == len(A) else 0, prod(e for _, e in rows))
-    M = [list(r) for r in A]
-    n = len(M)
-    d = 1
-    for col in range(n):
-        sel = next((r for r in range(col, n) if M[r][col]), None)
-        if sel is None:
-            return 0
-        if sel != col:
-            M[col], M[sel] = M[sel], M[col]
-            d = -d
-        d = d * M[col][col]
-        inv = pow(M[col][col], -1, p)
-        for r in range(col + 1, n):
-            if M[r][col]:
-                f = M[r][col] * inv
-                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[col])]
-    return d % p
+    """sign * scale of _eliminate at full rank, else 0; over Q, divided by
+    the row scalings that made A's rows ints."""
+    rows = list(map(_ints, A)) if p is None else [(list(row), 1) for row in A]
+    pivots, d, sign = _eliminate([row for row, _ in rows], p)
+    det = sign * d if len(pivots) == len(A) else 0
+    return Fraction(det, prod(e for _, e in rows)) if p is None else det % p
 
 
 def inverse_mod(A, p):

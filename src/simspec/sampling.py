@@ -39,7 +39,7 @@ def random_simple_spectrum_pair(field: Field, n: int, rng: random.Random,
         if field.p < n:
             raise FieldTooSmallError("F_%d cannot host %d distinct eigenvalues"
                                      % (field.p, n))
-        pool = list(range(field.p))
+        pool = range(field.p)
     eigs = rng.sample(pool, n)
     g = random_invertible(field, n, rng, height)
     A1 = conjugate(g, Mat.diag(field, eigs))

@@ -3,9 +3,10 @@
 Probes are conjugation invariants of a pair: sigma probes read characteristic
 coefficients of the first matrix, zeta probes test whether a small polynomial
 image vanishes, rank probes read the rank of a polynomial image.  Probes built
-from one pair's canonical data separate it from any non-equivalent pair of the
-same size, with certified degree bounds: zeta probes stay below 2n-1, rank
-probes below (n+1)(2n-1).
+from P's canonical data separate P from any non-equivalent pair of the same
+size, with certified degree bounds: zeta probes stay below 2n-1, rank probes
+below (n+1)(2n-1).  Both deciders run one walk over them, in that order, and
+build each probe only when the walk reaches it.
 
 Degrees are certified on the formal polynomials, but values are not computed
 by expanding them, nor by multiplying matrices.  Every zeta and rank probe is
@@ -19,9 +20,10 @@ similarity invariants); sigma values are the elementary symmetric functions
 of the eigenvalues.  The trade-off is that the rank decider reads its values
 through the verified witness, not through products of the raw matrices.
 An equal verdict is returned only when both pairs' canonical forms, each
-with its exactly checked witness, agree as well.  The evaluator computes on
-raw field values with kernels.red and inv_scalar; FieldElements appear only
-in sigma values and in the reports.
+with its exactly checked witness, agree as well, and every rank probe must
+read its expected value on P.  The evaluator computes on raw field values
+with kernels.red and inv_scalar; FieldElements appear only in sigma values
+and in the reports.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .canonical import (
     find_conjugator,
     orbit_eq_canonical,
 )
-from .errors import VerificationError
+from .errors import FieldMismatchError, VerificationError
 from .fields import QQ, Field, FieldElement, PrimeField
 from .idempotents import EntryProbe, entry_probe_poly
 from .matrices import Mat, det, rank, sigma
@@ -179,7 +181,10 @@ class InvariantProbe:
     def evaluate(self, P: MatrixPair, values: ProbeEvaluator | None = None):
         """The probe's value on P; pass P's evaluator to reuse its
         eigenbasis.  Without one, a sigma probe reads the characteristic
-        polynomial and other probes canonicalize P."""
+        polynomial and other probes canonicalize P.  A zeta or rank probe
+        raises FieldMismatchError on a pair over another field."""
+        if self.poly is not None and self.poly.field is not P.field:
+            raise FieldMismatchError("probe over %r, pair over %r" % (self.poly.field, P.field))
         if values is None:
             if self.kind == "sigma":
                 return sigma(P.A1, self.t)
@@ -227,10 +232,6 @@ class SeparationReport:
         return out
 
 
-def _equal_report(count: int) -> SeparationReport:
-    return SeparationReport(True, None, None, None, count)
-
-
 def sigma_probe(n: int, t: int) -> InvariantProbe:
     return InvariantProbe("sigma[%d]" % t, "sigma", n, t=t)
 
@@ -247,41 +248,51 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
     canonical representatives.  Full agreement forces equal types; a
     disagreeing probe is a genuine invariant witness (the pairs then lie in
     different orbits, though possibly of the same type)."""
-    return _type_separation(P, Q)[0]
+    return _walk(P, Q, ranks=False)
 
 
-def _type_separation(P: MatrixPair, Q: MatrixPair):
-    """type_separation's report, with both canonical pairs and both pairs'
-    evaluators, so that a caller need not canonicalize again.  canonicalize
-    raises FieldTooSmallError for F_p with p < n and NotSimpleSpectrumError
-    for a pair without simple spectrum."""
+def _walk(P: MatrixPair, Q: MatrixPair, ranks: bool) -> SeparationReport:
+    """The probe walk of both deciders: n sigma probes, n(n-1) zeta probes
+    and, with ranks, one rank probe per * cell of P's canonical form, each
+    built when the walk reaches it; the first whose values on P and Q differ
+    separates them.  Agreement at each stage must force what the next one
+    assumes, and each rank probe must read its expected value on P, or
+    VerificationError is raised.  canonicalize raises FieldTooSmallError for
+    F_p with p < n and NotSimpleSpectrumError without simple spectrum."""
     _check_comparable(P, Q)
     n = P.n
     CP = canonicalize(P).canon
     CQ = canonicalize(Q).canon
     vp, vq = ProbeEvaluator(P, CP), ProbeEvaluator(Q, CQ)
-    count = 0
-    for t in range(1, n + 1):
-        probe = sigma_probe(n, t)
-        count += 1
+
+    def probes():
+        for t in range(1, n + 1):
+            yield sigma_probe(n, t)
+        if CP.eigs != CQ.eigs:
+            raise VerificationError("equal sigmas must force equal eigenvalues")
+        vq.eigs = vp.eigs       # one tuple, so entry() matches probes by identity
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    yield zeta_entry_probe(CP.eigs, i, j)
+        if CP.type_graph != CQ.type_graph:
+            raise VerificationError("probe agreement must force equal types")
+        if ranks:
+            for i, j in CP.star.star_positions():
+                yield build_param_probe(CP, i, j)
+            # both canonical forms carry exactly checked witnesses, so equal
+            # data certifies the verdict
+            if CP != CQ:
+                raise VerificationError("probes agree but the canonical forms differ")
+
+    for count, probe in enumerate(probes(), start=1):
         va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
+        if probe.kind == "rank" and va != probe.expected:
+            raise VerificationError("rank probe %s is %d on its own pair, not %d"
+                                    % (probe.label, va, probe.expected))
         if va != vb:
-            return SeparationReport(False, probe, va, vb, count), CP, CQ, vp, vq
-    if CP.eigs != CQ.eigs:
-        raise VerificationError("equal sigmas must force equal eigenvalues")
-    vq.eigs = vp.eigs       # one tuple, so entry() matches probes by identity
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            probe = zeta_entry_probe(CP.eigs, i, j)
-            count += 1
-            va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
-            if va != vb:
-                return SeparationReport(False, probe, va, vb, count), CP, CQ, vp, vq
-    if CP.type_graph != CQ.type_graph:
-        raise VerificationError("probe agreement must force equal types")
-    return _equal_report(count), CP, CQ, vp, vq
+            return SeparationReport(False, probe, va, vb, count)
+    return SeparationReport(True, None, None, None, count)
 
 
 def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
@@ -300,32 +311,27 @@ def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
     field, n, a = C.field, C.n, C.eigs
     c = C.param(i, j).value
     if i == j:
-        expr = NcExpr(field, [(c, ()), (-1, (entry_probe_poly(a, i, i),))])
+        terms = [(c, ()), (-1, (entry_probe_poly(a, i, i),))]
         expected = n - 1 if c else 0
-        return InvariantProbe("param(%d,%d)" % (i, j), "rank", n,
-                              poly=expr, expected=expected)
-    path = undirected_path(C.type_graph, i, j)
-    if path is None:
-        raise VerificationError("a * cell always has a connecting path")
-    idx, flags = path.vertices, path.flags
-    S = ThreeDiagSeq(idx, flags, n)
-    cert = staircase_cert(S)
-    hs = []
-    for l, d in enumerate(flags):
-        u, v = idx[l], idx[l + 1]
-        hs.append(entry_probe_poly(a, u, v) if d == FWD
-                  else entry_probe_poly(a, v, u))
-    h0 = entry_probe_poly(a, i, j)
-    terms = []
-    for l, w in enumerate(cert.ws, start=1):
-        coeff = c if l % 2 == 1 else -c
-        terms.append((coeff, tuple(hs[k - 1] for k in w)))
-    tail = tuple(hs[k - 1] for k in cert.u1) + (h0,) + tuple(hs[k - 1] for k in cert.u2)
-    terms.append((-1, tail))
-    expr = NcExpr(field, terms)
-    expected = (cert.r - 1) // 2 if c else 0
+    else:
+        path = undirected_path(C.type_graph, i, j)
+        if path is None:
+            raise VerificationError("a * cell always has a connecting path")
+        idx, flags = path.vertices, path.flags
+        S = ThreeDiagSeq(idx, flags, n)
+        cert = staircase_cert(S)
+        hs = [entry_probe_poly(a, u, v) if d == FWD else entry_probe_poly(a, v, u)
+              for u, v, d in zip(idx, idx[1:], flags)]
+        h0 = entry_probe_poly(a, i, j)
+        terms = []
+        for l, w in enumerate(cert.ws, start=1):
+            coeff = c if l % 2 == 1 else -c
+            terms.append((coeff, tuple(hs[k - 1] for k in w)))
+        tail = tuple(hs[k - 1] for k in cert.u1) + (h0,) + tuple(hs[k - 1] for k in cert.u2)
+        terms.append((-1, tail))
+        expected = (cert.r - 1) // 2 if c else 0
     return InvariantProbe("param(%d,%d)" % (i, j), "rank", n,
-                          poly=expr, expected=expected)
+                          poly=NcExpr(field, terms), expected=expected)
 
 
 def param_probes(C: CanonicalPair) -> list[InvariantProbe]:
@@ -338,21 +344,7 @@ def orbit_eq_by_ranks(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
     entry-vanishing zeta probes, then one rank probe per free parameter of P's
     canonical form, each evaluated on the input pairs in their verified
     eigenbases."""
-    rep, CP, CQ, vp, vq = _type_separation(P, Q)
-    if not rep.equal:
-        return rep
-    count = rep.probes_evaluated
-    for i, j in CP.star.star_positions():
-        probe = build_param_probe(CP, i, j)
-        count += 1
-        va, vb = probe.evaluate(P, vp), probe.evaluate(Q, vq)
-        if va != vb:
-            return SeparationReport(False, probe, va, vb, count)
-    # both canonical forms carry exactly checked witnesses, so equal data
-    # certifies the verdict
-    if CP != CQ:
-        raise VerificationError("probes agree but the canonical forms differ")
-    return _equal_report(count)
+    return _walk(P, Q, ranks=True)
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,11 @@ def matches(S: StarMatrix, M) -> bool:
     return True
 
 
-def enumerate_forests(n: int, max_n: int = 5) -> list[Digraph]:
+def enumerate_forests(n: int) -> list[Digraph]:
     """Every directed forest on v1..vn once, in a fixed order: undirected edge
     subsets by increasing bitmask, then orientations per included edge."""
-    if n > max_n:
-        raise ResourceGuardError("forest enumeration guarded at n <= %d" % max_n)
+    if n > 5:
+        raise ResourceGuardError("forest enumeration guarded at n <= 5")
     edges = list(itertools.combinations(range(1, n + 1), 2))
     out = []
     for mask in range(1 << len(edges)):

@@ -182,6 +182,31 @@ def test_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["staircase", "--k", "0", "--delta="],
+    ["verify", "--suite", "oracle", "--n", "0"],
+    ["verify", "--suite", "oracle", "--p", "4"],
+    ["verify", "--suite", "staircase", "--p", "4"],
+    ["verify", "--suite", "staircase", "--k", "0"],
+    ["verify", "--suite", "oracle", "--trials", "-1"],
+    # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound
+    ["verify", "--suite", "oracle", "--p", str(2 ** 89 - 1)],
+    # a certified prime whose root scan is refused; the sampler must not
+    # list its residues first
+    ["verify", "--suite", "oracle", "--p", str(2 ** 61 - 1)],
+    ["forests", "--n", "-2"],
+    ["forests", "--n", "6"],
+    ["forests", "--n", "30"],
+], ids=" ".join)
+def test_bad_numeric_options_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:      # argparse rejects the option
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_default_field_env(capsys, tmp_path, monkeypatch):
     doc = {"A1": [[0, 0], [0, 1]], "A2": [[0, 1], [0, 0]]}
     path = tmp_path / "nofield.json"

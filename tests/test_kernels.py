@@ -95,9 +95,9 @@ def test_matmul_against_entry_sums(rng):
 
 
 def test_rank_det_inverse_against_oracles(rng):
-    for p in FIELDS:
+    for p in FIELDS + [2 ** 61 - 1]:
         for _ in range(25):
-            n = rng.choice([1, 2, 3, 4])
+            n = rng.choice([1, 2, 3, 4, 5])
             A = _rand(rng, n, n, p, zeros=0.4)
             d = kernels.det_mod(A, p)
             assert d == _leibniz(A, p) and _exact([[d]], p)
@@ -119,6 +119,16 @@ def test_rank_det_inverse_against_oracles(rng):
         # non-square rank
         A = _rand(rng, 2, 4, p, zeros=0.3)
         assert kernels.rank_mod(A, p) == _rank_by_minors(A, p)
+    # permutation matrices pin the swap sign of det over both fields; their
+    # inverse is their transpose
+    for p in (None, 7, 2 ** 61 - 1):
+        one, zero = _red(1, p), _red(0, p)
+        for n, step in ((2, 1), (3, 1), (5, 7)):
+            for perm, sign in _signed_permutations(n)[::step]:
+                A = [[one if perm[i] == j else zero for j in range(n)] for i in range(n)]
+                assert kernels.det_mod(A, p) == _red(sign, p) == _leibniz(A, p)
+                assert kernels.rank_mod(A, p) == n
+                assert kernels.inverse_mod(A, p) == [list(col) for col in zip(*A)]
     # the inverse of an integer identity starts from Fraction(1), not 1 / 1
     inv = kernels.inverse_mod([[1, 0], [0, 1]], None)
     assert inv == [[1, 0], [0, 1]] and _exact(inv, None)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +18,9 @@ from simspec.sampling import (
     random_simple_spectrum_pair,
 )
 from simspec import separators
-from simspec.errors import VerificationError
+from simspec.errors import FieldMismatchError, VerificationError
 from simspec.separators import (
+    ProbeEvaluator,
     build_param_probe,
     orbit_eq_by_ranks,
     param_probes,
@@ -371,3 +376,76 @@ def test_equal_verdict_requires_equal_canonical_forms(monkeypatch):
                         lambda C, i, j: sigma_probe(C.n, 1))
     with pytest.raises(VerificationError):
         orbit_eq_by_ranks(P, Q)
+
+
+def test_probe_on_a_pair_over_another_field_raises():
+    """A zeta or rank probe refuses a pair over another field, with or
+    without the pair's evaluator; a pair of another size over its own field
+    is read like poly.eval."""
+    rng = random.Random(3)
+    F7 = PrimeField(7)
+    P = random_simple_spectrum_pair(F7, 3, rng)
+    C = canonicalize(P).canon
+    probes = [zeta_entry_probe(C.eigs, 1, 2), zeta_entry_probe(C.eigs, 2, 1)] + param_probes(C)
+    assert {probe.kind for probe in probes} == {"zeta", "rank"}
+    for field in (PrimeField(11), QQ):
+        R = random_simple_spectrum_pair(field, 3, rng)
+        for probe in probes:
+            with pytest.raises(FieldMismatchError):
+                probe.evaluate(R)
+            with pytest.raises(FieldMismatchError):
+                probe.evaluate(R, ProbeEvaluator(R))
+        sigma_probe(3, 2).evaluate(R)
+    R = random_simple_spectrum_pair(F7, 4, rng)
+    for probe in probes:
+        M = probe.poly.eval(R.mats(), 4)
+        assert probe.evaluate(R) == (zero_indicator(M) if probe.kind == "zeta" else rank(M))
+
+
+# Each rank probe must read its expected value on its own pair, the
+# separating probe included.  The script gives every rank probe an
+# off-by-one expected value and runs under python -O, where assert
+# statements are dropped: an equal and a rank-separated decision must both
+# raise, and the CLI must exit 3 with nothing on stdout.
+_BREAK_EXPECTED = """
+import dataclasses
+import sys
+assert sys.flags.optimize == 1
+import simspec.separators as separators
+from simspec.canonical import MatrixPair
+from simspec.cli import main
+from simspec.errors import VerificationError
+from simspec.fields import QQ
+from simspec.matrices import Mat
+real = separators.build_param_probe
+def off_by_one(C, i, j):
+    probe = real(C, i, j)
+    return dataclasses.replace(probe, expected=probe.expected + 1)
+separators.build_param_probe = off_by_one
+A1 = Mat.diag(QQ, [0, 1])
+P = MatrixPair(A1, Mat(QQ, [[5, 1], [1, 0]]))
+for A2 in ([[5, 1], [1, 0]], [[6, 1], [1, 0]]):
+    try:
+        separators.orbit_eq_by_ranks(P, MatrixPair(A1, Mat(QQ, A2)))
+    except VerificationError as exc:
+        print("raised:", exc)
+sys.exit(main(["orbit-eq", sys.argv[1], sys.argv[1], "--method", "rank"]))
+"""
+
+
+def test_wrong_expected_rank_raises_under_python_O(tmp_path):
+    import simspec
+    from simspec.serialize import dumps, pair_to_json
+
+    P = MatrixPair(Mat.diag(QQ, [0, 1]), Mat(QQ, [[5, 1], [1, 0]]))
+    path = tmp_path / "p.json"
+    path.write_text(dumps(pair_to_json(P)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simspec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BREAK_EXPECTED, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.count("raised: rank probe param(") == 2, proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert proc.stdout.count("\n") == 2      # nothing on stdout from the CLI
