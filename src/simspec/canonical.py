@@ -197,9 +197,11 @@ def find_conjugator(P: MatrixPair, Q: MatrixPair,
                     max_order: int = DEFAULT_GL_GUARD):
     """Exhaustive search for g with g.P = Q over GL_n(F_p): the first such g
     in lex order of its row-major entries, or None if no g exists, and the
-    number of invertible matrices scanned.  All p^(n^2) matrices are scanned,
-    each with its own determinant and residual test, by the one numpy
-    kernel (``kernels.conjugator_search_mod``).  Refused with
+    number of invertible matrices scanned.  All p^(n^2) matrices are scanned
+    by the one numpy kernel (``kernels.conjugator_search_mod``): each block
+    of first n - 1 rows computes one determinant row per distinct cofactor
+    vector, and finds the matches g A = B g by a sorted join of residual
+    codes against the last rows.  Refused with
     ResourceGuardError for n > 3, for |GL_n(F_p)| > max_order, and, whatever
     max_order is, for p^(n^2) >= 2^63, where int64 indices end."""
     _check_comparable(P, Q)

@@ -75,6 +75,20 @@ def _positive(text: str) -> int:
     return value
 
 
+# verify --suite staircase makes 2^(K+2) - 4 certificate checks, every
+# pattern up to length K over two fields; K = 8 (1,020 checks) takes about
+# 12 s on one core, and each K more multiplies that by about 2.6
+MAX_STAIRCASE_SUITE_K = 8
+
+
+def _suite_k(text: str) -> int:
+    """argparse type of verify --k: an int from 1 to MAX_STAIRCASE_SUITE_K."""
+    if (value := _positive(text)) > MAX_STAIRCASE_SUITE_K:
+        raise argparse.ArgumentTypeError(
+            "%s is above %d" % (text, MAX_STAIRCASE_SUITE_K))
+    return value
+
+
 def _prime(text: str) -> int:
     """argparse type of --p: a modulus that PrimeField accepts."""
     try:
@@ -285,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--p", type=_prime, default=7)
     c.add_argument("--n", type=_positive, default=3)
-    c.add_argument("--k", type=_positive, default=5)
+    c.add_argument("--k", type=_suite_k, default=5,
+                   help="1 to %d" % MAX_STAIRCASE_SUITE_K)
     c.add_argument("--trials", type=_positive, default=50)
     c.add_argument("--quick", action="store_true")
     c.add_argument("--max-gl-order", type=int, default=20_000_000)

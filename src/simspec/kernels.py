@@ -11,9 +11,10 @@ elimination: fraction-free (Bareiss) over Q, with unit pivots over F_p.
 numpy is used only by conjugator_search_mod (the GL_n(F_p) oracle), on int64
 arrays, and is imported on its first call, so importing simspec does not load
 it.  The search is one numpy scan, row-factored: each matrix is its first
-n - 1 rows over its last row, and every matrix's determinant and residual
-test come from products shared along those two indices.  It needs
-p^(n^2) < 2^63, which ``find_conjugator`` enforces.
+n - 1 rows over its last row.  Determinants come from one row per distinct
+cofactor vector of the first rows, and residual matches from a sorted join
+of the two halves' residual codes.  It needs p^(n^2) < 2^63, which
+``find_conjugator`` enforces.
 """
 
 from __future__ import annotations
@@ -221,10 +222,19 @@ def conjugator_search_mod(A1, A2, B1, B2, p):
     Row-factored scan: g = [U; r], U its first n - 1 rows (index h) and r
     its last row (index l), so g's lex index is h p^n + l and the (h, l)
     table in row-major order is the lex scan.  det g = r . c(U) with c(U)
-    the last-row cofactors, and R(g) = g A - B g is linear, so R(g) = 0 iff
-    R(U; 0) = -R(0; r) mod p, compared as base-p codes below p^(n^2).
-    Every g gets its own determinant and residual test; only the products
-    are shared, one per row or column of the table."""
+    the last-row cofactors.  A block of U takes at most p^n distinct c(U),
+    and each distinct one gets one determinant row over the last rows,
+    counted with its multiplicity.
+
+    R(g) = (g A1 - B1 g, g A2 - B2 g) is linear, so R(g) = 0 iff
+    R(U; 0) = -R(0; r) mod p.  Both sides lie in the row space of R on the
+    unit matrices, where a vector is fixed by its entries at the pivot
+    columns, so each side is keyed by the base-p code of those entries,
+    below p^(n^2).  The matches are a sorted join: each block of last rows
+    is sorted by key once and kept for the whole scan, (n + 2) p^n values in
+    all, and every U finds its run of last rows with its key there.  Prefix counts of the nonzero determinants along the sorted
+    rows tell which runs hold an invertible g; the first such U, with the
+    first invertible r of its run, is the block's lex-first witness."""
     global np
     import numpy as np
 
@@ -234,42 +244,53 @@ def conjugator_search_mod(A1, A2, B1, B2, p):
     lstep = min(L, _CELLS // (2 * nn))
     hstep = min(H, max(1, _CELLS // lstep))
     # row k: the residuals of both pairs at the k-th unit matrix, so that
-    # digits(g) @ M lists R(g) for (A1, B1) and then for (A2, B2)
+    # digits(g) @ M lists R(g) for (A1, B1) and then for (A2, B2); only the
+    # pivot columns of M are kept
     E = np.eye(nn, dtype=np.int64).reshape(nn, n, n)
     M = np.concatenate([(E @ A - B @ E).reshape(nn, nn) for A, B in ((A1, B1), (A2, B2))],
-                       axis=1)
+                       axis=1) % p
+    M = M[:, _rref(M.tolist(), p)[1]]
     powers = p ** np.arange(nn, dtype=np.int64)
 
     def codes(digits, part):
-        # (2, rows): the base-p code of each residual mod p, for each pair
-        return ((digits @ part % p).reshape(-1, 2, nn) @ powers).T
+        # the base-p code of each residual mod p, on the pivot columns
+        return digits @ part % p @ powers[:part.shape[1]]
 
     def last_rows(l0):
-        # r^T and the codes of -R(0; r) for the last rows l0, l0 + 1, ...
+        # the last rows l0, l0 + 1, ... sorted by their codes of -R(0; r)
+        # (stably, so l ascends among equal codes): r^T in that order, the
+        # order itself and the sorted codes
         r = _digit_block(l0, min(l0 + lstep, L), n, p)
-        return r.T, codes(r, -M[top:])
+        key = codes(r, -M[top:])
+        order = np.argsort(key, kind="stable")
+        return l0, r[order].T, order, key[order]
 
-    starts = range(0, L, lstep)
-    once = last_rows(0) if len(starts) == 1 else None
+    blocks = [last_rows(l0) for l0 in range(0, L, lstep)]
     count, first = 0, None
     for h0 in range(0, H, hstep):
         h1 = min(h0 + hstep, H)
         U = _digit_block(h0, h1, top, p)
         cof = _cofactors(U.reshape(h1 - h0, n - 1, n), p)
+        _, at, inv, mult = np.unique(cof @ powers[:n], return_index=True,
+                                     return_inverse=True, return_counts=True)
+        ucof = cof[at]
         keys = codes(U, M[:top]) if first is None else None
         hits = []
-        for l0 in starts:
-            rT, rkeys = once or last_rows(l0)
-            dets = cof @ rT % p
-            count += int(np.count_nonzero(dets))
+        for l0, rT, order, sorted_keys in blocks:
+            invertible = ucof @ rT % p != 0
+            count += int(mult @ np.count_nonzero(invertible, axis=1))
             if keys is not None:
-                hit = dets != 0
-                for u, v in zip(keys, rkeys):
-                    hit &= u[:, None] == v
-                at = np.flatnonzero(hit)
-                if at.size:
-                    h, l = divmod(int(at[0]), hit.shape[1])
-                    hits.append((h0 + h) * L + l0 + l)
+                # u's matches are the run lo:hi of last rows with u's code;
+                # the first u with an invertible match has the block's witness
+                lo = np.searchsorted(sorted_keys, keys)
+                hi = np.searchsorted(sorted_keys, keys, side="right")
+                seen = np.zeros((len(ucof), len(order) + 1), dtype=np.int64)
+                np.cumsum(invertible, axis=1, out=seen[:, 1:])
+                good = seen[inv, hi] > seen[inv, lo]
+                if good.any():
+                    u = int(np.argmax(good))
+                    j = lo[u] + int(np.argmax(invertible[inv[u], lo[u]:hi[u]]))
+                    hits.append((h0 + u) * L + l0 + int(order[j]))
         if hits:
             first = min(hits)
     if first is None:

@@ -188,6 +188,8 @@ def test_input_errors(capsys, tmp_path):
     ["verify", "--suite", "oracle", "--p", "4"],
     ["verify", "--suite", "staircase", "--p", "4"],
     ["verify", "--suite", "staircase", "--k", "0"],
+    ["verify", "--suite", "staircase", "--k", "9"],
+    ["verify", "--suite", "staircase", "--k", "20"],
     ["verify", "--suite", "oracle", "--trials", "-1"],
     # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound
     ["verify", "--suite", "oracle", "--p", str(2 ** 89 - 1)],

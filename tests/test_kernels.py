@@ -325,6 +325,9 @@ def _search_inputs(rng, n, p, kind):
         return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
 
     A1, A2 = rand(), rand()
+    if kind == "scalar":        # A1 = B1 = c I: every g fits pair 1
+        c = rng.randrange(p)
+        A1 = [[c * (i == j) for j in range(n)] for i in range(n)]
     if kind == "zero":
         return [[[0] * n for _ in range(n)]] * 4
     if kind == "equal":
@@ -341,11 +344,15 @@ def _search_inputs(rng, n, p, kind):
 
 def test_search_against_enumeration(rng, monkeypatch):
     """(count, ok, found) equal to the enumeration's on seeded conjugate,
-    equal, random and zero pairs, at the default cell budget and at 32
-    cells, where every search runs in many blocks of both row indices."""
-    cases = [(n, p, kind) for n, p in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2))
+    equal, random and zero pairs, and on conjugate pairs whose first matrix
+    is scalar, where every pair-1 residual agrees and only pair 2 and the
+    determinant decide; at the default cell budget and at 32 cells, where
+    every search runs in many blocks of both row indices."""
+    sizes = ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2))
+    cases = [(n, p, kind) for n, p in sizes
              for kind in ("conjugate", "conjugate", "equal", "random", "zero")]
     cases += [(3, 3, kind) for kind in ("conjugate",) * 4 + ("equal", "random", "zero")]
+    cases += [(n, p, "scalar") for n, p in sizes + ((3, 3),)]
     found_any, default = 0, kernels._CELLS
     for n, p, kind in cases:
         mats = _search_inputs(rng, n, p, kind)
@@ -377,11 +384,17 @@ def test_search_guard_and_memory():
     assert time.perf_counter() - t0 < 1.0
 
     rng = np.random.default_rng(5)
+    cases = []
     for n, p in ((3, 5), (2, 61)):
         A1, A2, B2 = (rng.integers(0, p, (n, n)) for _ in range(3))
+        cases.append((p, (A1, A2, A1, B2)))
+    # the worst case of the residual join: every (U, r) matches
+    cases.append((5, (np.zeros((3, 3), dtype=np.int64),) * 4))
+    for p, mats in cases:
+        n = len(mats[0])
         tracemalloc.start()
         try:
-            count, _, _ = kernels.conjugator_search_mod(A1, A2, A1, B2, p)
+            count, _, _ = kernels.conjugator_search_mod(*mats, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
