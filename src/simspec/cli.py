@@ -28,12 +28,10 @@ from .matrices import conjugate, order_gl, rank
 from .sampling import random_invertible, random_simple_spectrum_pair
 from .separators import (
     orbit_eq_by_ranks,
-    param_probes,
-    sigma_probe,
+    probe_stages,
     type_separation,
     verify_counterexample_sigma_zero,
     verify_counterexample_single_image,
-    zeta_entry_probe,
 )
 from .serialize import canon_result_to_json, dumps, pair_from_json
 from .staircase import ThreeDiagSeq, cert_matrix, staircase_cert, verify_cert
@@ -69,24 +67,28 @@ def _emit(obj) -> None:
 
 
 def _positive(text: str) -> int:
-    """argparse type of --n, --k and --trials: an int >= 1."""
+    """argparse type of --n and --trials: an int >= 1."""
     if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError("%s is not >= 1" % text)
     return value
 
 
 # verify --suite staircase makes 2^(K+2) - 4 certificate checks, every
-# pattern up to length K over two fields; K = 8 (1,020 checks) takes about
-# 12 s on one core, and each K more multiplies that by about 2.6
-MAX_STAIRCASE_SUITE_K = 8
+# pattern up to length K over two fields; K = 12 (16,380 checks) takes about
+# 11 s on one core, and each K more multiplies that by about 2.5
+MAX_STAIRCASE_SUITE_K = 12
+# staircase --k K takes exact ranks of (K+1) x (K+1) certificate matrices;
+# the slowest patterns at K = 255 take 2 to 3 s over Q, growing as K^3
+MAX_STAIRCASE_K = 255
 
 
-def _suite_k(text: str) -> int:
-    """argparse type of verify --k: an int from 1 to MAX_STAIRCASE_SUITE_K."""
-    if (value := _positive(text)) > MAX_STAIRCASE_SUITE_K:
-        raise argparse.ArgumentTypeError(
-            "%s is above %d" % (text, MAX_STAIRCASE_SUITE_K))
-    return value
+def _at_most(limit: int):
+    """argparse type of a bounded --k: an int from 1 to limit."""
+    def bounded_int(text: str) -> int:
+        if (value := _positive(text)) > limit:
+            raise argparse.ArgumentTypeError("%s is above %d" % (text, limit))
+        return value
+    return bounded_int
 
 
 def _prime(text: str) -> int:
@@ -165,10 +167,9 @@ def _cmd_staircase(args) -> int:
     cert = staircase_cert(S)
     alphas = [field.parse(tok) for tok in args.alpha.split(",")] if args.alpha \
         else [field.elem(v) for v in (-1, 0, 1, 2)]
-    minus_one = field.elem(-1)
     table = []
     for a in alphas:
-        expected = (cert.r - 1) // 2 if a == minus_one else (cert.r + 1) // 2
+        expected = cert.expected_rank(a, field)
         actual = rank(cert_matrix(S, cert, a, field))
         table.append({"alpha": serialize.scalar_to_json(a),
                       "expected_rank": expected, "rank": actual,
@@ -184,13 +185,9 @@ def _cmd_probes(args) -> int:
     P = _load_pair(args.pair)
     res = canonicalize(P)
     C = res.canon
-    probes = [sigma_probe(C.n, t) for t in range(1, C.n + 1)]
-    probes += [zeta_entry_probe(C.eigs, i, j)
-               for i in range(1, C.n + 1) for j in range(1, C.n + 1) if i != j]
-    probes += param_probes(C)
     out = {"n": C.n, "type_arrows": [list(a) for a in C.type_graph.sorted_arrows()],
            "star": C.star.text_rows(),
-           "probes": [p.to_json() for p in probes]}
+           "probes": [p.to_json() for stage in probe_stages(C) for p in stage]}
     _emit(out)
     return EXIT_OK
 
@@ -287,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_forests)
 
     c = sub.add_parser("staircase", help="certificate and rank table for a flag pattern")
-    c.add_argument("--k", type=_positive, required=True)
+    c.add_argument("--k", type=_at_most(MAX_STAIRCASE_K), required=True,
+                   help="1 to %d" % MAX_STAIRCASE_K)
     c.add_argument("--delta", required=True, help="string over {F,R} of length k")
     c.add_argument("--alpha", help="comma-separated scalars")
     c.add_argument("--field", help='"Q" or "F<p>"')
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--p", type=_prime, default=7)
     c.add_argument("--n", type=_positive, default=3)
-    c.add_argument("--k", type=_suite_k, default=5,
+    c.add_argument("--k", type=_at_most(MAX_STAIRCASE_SUITE_K), default=5,
                    help="1 to %d" % MAX_STAIRCASE_SUITE_K)
     c.add_argument("--trials", type=_positive, default=50)
     c.add_argument("--quick", action="store_true")

@@ -47,9 +47,9 @@ def word_from_text(text: str) -> Word:
     out = []
     for part in parts:
         part = part.strip()
-        if not part.startswith("x"):
+        if not part.startswith("x") or (k := int(part[1:])) < 1:
             raise ValueError("bad word %r" % text)
-        out.append(int(part[1:]))
+        out.append(k)
     return tuple(out)
 
 
@@ -186,10 +186,9 @@ class NcPoly:
                 raise ValueError("matrix size mismatch")
         elif n is None:
             raise ValueError("need n for an empty matrix tuple")
-        used = max((max(w) for w in self._terms if w), default=0)
-        if used > len(mats):
-            raise ValueError("polynomial uses x%d but only %d matrices given"
-                             % (used, len(mats)))
+        bad = [k for w in self._terms for k in w if not 1 <= k <= len(mats)]
+        if bad:
+            raise ValueError("polynomial uses x%d, outside x1..x%d" % (bad[0], len(mats)))
         flat, offs, coeffs = [], [0], []
         for w, c in self._sorted():
             flat.extend(k - 1 for k in w)

@@ -5,8 +5,8 @@ coefficients of the first matrix, zeta probes test whether a small polynomial
 image vanishes, rank probes read the rank of a polynomial image.  Probes built
 from P's canonical data separate P from any non-equivalent pair of the same
 size, with certified degree bounds: zeta probes stay below 2n-1, rank probes
-below (n+1)(2n-1).  Both deciders run one walk over them, in that order, and
-build each probe only when the walk reaches it.
+below (n+1)(2n-1).  probe_stages lists them in that order for both deciders
+and the probes command, and builds each probe only when a walk reaches it.
 
 Degrees are certified on the formal polynomials, but values are not computed
 by expanding them, nor by multiplying matrices.  Every zeta and rank probe is
@@ -48,7 +48,7 @@ from .idempotents import EntryProbe, entry_probe_poly
 from .matrices import Mat, det, rank, sigma
 from .ncpoly import NcExpr, NcPoly
 from .staircase import ThreeDiagSeq, staircase_cert
-from .stargraph import FWD, STAR, undirected_path
+from .stargraph import STAR, undirected_path
 
 
 def zero_indicator(M: Mat) -> int:
@@ -252,34 +252,29 @@ def type_separation(P: MatrixPair, Q: MatrixPair) -> SeparationReport:
 
 
 def _walk(P: MatrixPair, Q: MatrixPair, ranks: bool) -> SeparationReport:
-    """The probe walk of both deciders: n sigma probes, n(n-1) zeta probes
-    and, with ranks, one rank probe per * cell of P's canonical form, each
-    built when the walk reaches it; the first whose values on P and Q differ
-    separates them.  Agreement at each stage must force what the next one
-    assumes, and each rank probe must read its expected value on P, or
+    """The probe walk of both deciders over probe_stages of P's canonical
+    form, the rank stage only with ranks; each probe is built when the walk
+    reaches it, and the first whose values on P and Q differ separates
+    them.  Agreement at each stage must force what the next one assumes,
+    and each rank probe must read its expected value on P, or
     VerificationError is raised.  canonicalize raises FieldTooSmallError for
     F_p with p < n and NotSimpleSpectrumError without simple spectrum."""
     _check_comparable(P, Q)
-    n = P.n
     CP = canonicalize(P).canon
     CQ = canonicalize(Q).canon
     vp, vq = ProbeEvaluator(P, CP), ProbeEvaluator(Q, CQ)
+    sigmas, zetas, params = probe_stages(CP)
 
     def probes():
-        for t in range(1, n + 1):
-            yield sigma_probe(n, t)
+        yield from sigmas
         if CP.eigs != CQ.eigs:
             raise VerificationError("equal sigmas must force equal eigenvalues")
         vq.eigs = vp.eigs       # one tuple, so entry() matches probes by identity
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    yield zeta_entry_probe(CP.eigs, i, j)
+        yield from zetas
         if CP.type_graph != CQ.type_graph:
             raise VerificationError("probe agreement must force equal types")
         if ranks:
-            for i, j in CP.star.star_positions():
-                yield build_param_probe(CP, i, j)
+            yield from params
             # both canonical forms carry exactly checked witnesses, so equal
             # data certifies the verdict
             if CP != CQ:
@@ -317,11 +312,9 @@ def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
         path = undirected_path(C.type_graph, i, j)
         if path is None:
             raise VerificationError("a * cell always has a connecting path")
-        idx, flags = path.vertices, path.flags
-        S = ThreeDiagSeq(idx, flags, n)
+        S = ThreeDiagSeq(path.vertices, path.flags, n)
         cert = staircase_cert(S)
-        hs = [entry_probe_poly(a, u, v) if d == FWD else entry_probe_poly(a, v, u)
-              for u, v, d in zip(idx, idx[1:], flags)]
+        hs = [entry_probe_poly(a, *S.pair(l)) for l in range(1, S.k + 1)]
         h0 = entry_probe_poly(a, i, j)
         terms = []
         for l, w in enumerate(cert.ws, start=1):
@@ -334,9 +327,19 @@ def build_param_probe(C: CanonicalPair, i: int, j: int) -> InvariantProbe:
                           poly=NcExpr(field, terms), expected=expected)
 
 
+def probe_stages(C: CanonicalPair) -> tuple:
+    """C's probe sequence as three lazy stages: n sigma probes, n(n-1) zeta
+    probes, then one rank probe per * cell in lexicographic cell order."""
+    n = C.n
+    return ((sigma_probe(n, t) for t in range(1, n + 1)),
+            (zeta_entry_probe(C.eigs, i, j)
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j),
+            (build_param_probe(C, i, j) for i, j in C.star.star_positions()))
+
+
 def param_probes(C: CanonicalPair) -> list[InvariantProbe]:
     """One rank probe per * cell, in lexicographic cell order."""
-    return [build_param_probe(C, i, j) for i, j in C.star.star_positions()]
+    return list(probe_stages(C)[2])
 
 
 def orbit_eq_by_ranks(P: MatrixPair, Q: MatrixPair) -> SeparationReport:

@@ -1,9 +1,9 @@
 """Three-diagonal sequences of elementary matrices and certified rank formulas.
 
-A sequence S is described by pairwise-distinct indices i1..i{k+1} and flags
-delta in {FWD, REV}^k: the l-th matrix is E_{i_l i_{l+1}} for FWD and its
-transpose for REV.  For every S there is a StaircaseCert: words ws =
-(w1..wr) (r odd) and u1, u2 such that for all alpha
+A sequence S has pairwise-distinct indices i1..i{k+1} and flags delta in
+{FWD, REV}^k; letter l stands for E_ab with (a, b) = S.pair(l), which is
+(i_l, i_{l+1}) for FWD and reversed for REV.  For every S there is a
+StaircaseCert: words ws = (w1..wr) (r odd) and u1, u2 such that for all alpha
 
     rank(Alt(w1(S),..,wr(S)) + alpha * u1(S) E_{i1 i_{k+1}} u2(S))
         = (r-1)/2 if alpha = -1, else (r+1)/2,
@@ -11,8 +11,13 @@ transpose for REV.  For every S there is a StaircaseCert: words ws =
 with deg(u1)+deg(u2)+1 <= k+2 and deg(w_l) <= k.  The values w1(S)..wr(S)
 are a staircase E_{c1 c2}, E_{c3 c2}, E_{c3 c4}, .. on distinct indices
 c1..c{r+1}, and the sandwich u1(S) E_{i1 i_{k+1}} u2(S) is its corner
-E_{c1 c{r+1}}; r = 1 is a single elementary word.  The construction is a
-recursion over the flag pattern, and every level returns a StaircaseCert:
+E_{c1 c{r+1}}; r = 1 is a single elementary word.
+
+E_ab E_cd is E_ad when b = c and 0 otherwise, so a word's value is an index
+walk: from the identity's n diagonal cells (a, a), each letter's pair (c, d)
+moves a cell (a, c) to (a, d) and drops every other.  The certificate check
+and cert_matrix read the words and the sandwich this way, with no matrix
+product.  The certificate comes from a recursion over the flag pattern:
 
 * an all-REV sequence is a base case: u1 = x1 and u2 = xk..x1 collapse the
   sandwich back to the first matrix, which is w1 = x1 (that word set is
@@ -26,8 +31,8 @@ recursion over the flag pattern, and every level returns a StaircaseCert:
   and x1..xk is a staircase as it stands (the single word x1 at k = 1).
 
 Contraction and stripping relabel the shorter sequence's certificate into the
-letters of the longer one.  staircase_cert checks the result on the concrete
-matrices, all-REV patterns included, once per flag pattern and memoizes it.
+letters of the longer one.  staircase_cert checks every result, all-REV
+patterns included, once per flag pattern and memoizes it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from functools import lru_cache
 from .errors import VerificationError
 from .fields import QQ, Field
 from .matrices import Mat, rank
-from .ncpoly import Word, eval_word, is_multilinear, word_text
+from .ncpoly import Word, is_multilinear, word_text
 from .stargraph import FWD, REV
 
 
@@ -67,15 +72,17 @@ class ThreeDiagSeq:
     def k(self) -> int:
         return len(self.delta)
 
+    def pair(self, l: int) -> tuple:
+        """(a, b) with letter l standing for E_ab: (i_l, i_{l+1}) for FWD, else reversed."""
+        if not 1 <= l <= self.k:
+            raise ValueError("letter x%d out of range x1..x%d" % (l, self.k))
+        a, b = self.idx[l - 1], self.idx[l]
+        return (a, b) if self.delta[l - 1] == FWD else (b, a)
+
 
 def td_matrices(S: ThreeDiagSeq, field: Field) -> list[Mat]:
-    """The sequence matrices: E_{i_l i_{l+1}} for FWD, transposed for REV."""
-    out = []
-    for l, d in enumerate(S.delta):
-        i, j = S.idx[l], S.idx[l + 1]
-        out.append(Mat.unit(field, S.n, i, j) if d == FWD
-                   else Mat.unit(field, S.n, j, i))
-    return out
+    """The sequence matrices E_{S.pair(l)}, l = 1..k."""
+    return [Mat.unit(field, S.n, *S.pair(l)) for l in range(1, S.k + 1)]
 
 
 @dataclass(frozen=True)
@@ -90,11 +97,13 @@ class StaircaseCert:
     def r(self) -> int:
         return len(self.ws)
 
+    def expected_rank(self, alpha, field: Field) -> int:
+        """The certified rank at alpha: (r-1)/2 at alpha = -1, else (r+1)/2."""
+        return (self.r - 1) // 2 if field.raw(alpha) == field.raw(-1) else (self.r + 1) // 2
+
     def to_json(self):
-        return {"r": self.r,
-                "ws": [word_text(w) for w in self.ws],
-                "u1": word_text(self.u1),
-                "u2": word_text(self.u2)}
+        return {"r": self.r, "ws": [word_text(w) for w in self.ws],
+                "u1": word_text(self.u1), "u2": word_text(self.u2)}
 
 
 def _relabel(cert: StaircaseCert, phi, u1_tail: Word = (),
@@ -145,17 +154,18 @@ def _reduce(S: ThreeDiagSeq) -> StaircaseCert:
                     tuple(range(l - 1, 0, -1)), tuple(range(k, t, -1)))
 
 
-def _single_entry_pos(M: Mat):
-    """(i, j) 1-based if M = E_ij, else None."""
-    pos = None
-    for i, row in enumerate(M.values(), start=1):
-        for j, e in enumerate(row, start=1):
-            if not e:
-                continue
-            if e != 1 or pos is not None:
-                return None
-            pos = (i, j)
-    return pos
+def _walks(S: ThreeDiagSeq, cert: StaircaseCert):
+    """The cells of w1(S)..wr(S) and of the sandwich u1(S) E_{i1 i_{k+1}}
+    u2(S), each an index walk; the corner enters as a pair, never a letter."""
+    def walk(pairs):
+        cells = [(a, a) for a in range(1, S.n + 1)]
+        for c, d in pairs:
+            cells = [(a, d) for a, b in cells if b == c]
+        return cells
+
+    corner = (S.idx[0], S.idx[-1])
+    return ([walk(map(S.pair, w)) for w in cert.ws],
+            walk([*map(S.pair, cert.u1), corner, *map(S.pair, cert.u2)]))
 
 
 def _check(ok: bool, what: str) -> None:
@@ -163,38 +173,31 @@ def _check(ok: bool, what: str) -> None:
         raise VerificationError(what)
 
 
-def _check_degrees(S: ThreeDiagSeq, cert: StaircaseCert) -> bool:
+def _defect(S: ThreeDiagSeq, cert: StaircaseCert) -> str | None:
+    """What breaks the certificate's shape for S: r odd in 1..k, the degree
+    bounds or the letters x1..xk; None if nothing does."""
     k = S.k
-    if cert.r % 2 == 0 or not 1 <= cert.r <= k:
-        return False
-    if len(cert.u1) + len(cert.u2) + 1 > k + 2:
-        return False
-    return all(len(w) <= k for w in cert.ws)
+    if (cert.r % 2 == 0 or not 1 <= cert.r <= k or any(len(w) > k for w in cert.ws)
+            or len(cert.u1) + len(cert.u2) + 1 > k + 2):
+        return "certificate exceeds its degree bounds"
+    if any(not 1 <= s <= k for w in (cert.u1, cert.u2, *cert.ws) for s in w):
+        return "certificate letter outside x1..x%d" % k
 
 
 def _verify(S: ThreeDiagSeq, cert: StaircaseCert) -> None:
-    """Raise VerificationError unless the words evaluate on td_matrices(S)
-    to a staircase whose corner is the sandwich u1(S) E u2(S), are
-    multilinear (all-REV patterns excepted) and keep the degree bounds."""
-    _check(_check_degrees(S, cert), "certificate exceeds its degree bounds")
-    mats = td_matrices(S, QQ)
+    """Raise VerificationError unless the certificate keeps its shape, its
+    words walk to a staircase, the sandwich u1(S) E u2(S) walks to that
+    staircase's corner, and the words are multilinear (all-REV excepted)."""
+    _check((why := _defect(S, cert)) is None, why)
+    values, sandwich = _walks(S, cert)
     chain = []
-    for l, w in enumerate(cert.ws, start=1):
-        pos = _single_entry_pos(eval_word(w, mats))
-        _check(pos is not None, "staircase member is not elementary")
-        a, b = pos
-        if l == 1:
-            chain = [a, b]
-        elif l % 2 == 0:
-            _check(b == chain[-1], "staircase chain breaks at step %d" % l)
-            chain.append(a)
-        else:
-            _check(a == chain[-1], "staircase chain breaks at step %d" % l)
-            chain.append(b)
+    for l, cells in enumerate(values, start=1):
+        _check(len(cells) == 1, "staircase member is not elementary")
+        a, b = cells[0] if l % 2 == 1 else cells[0][::-1]    # (c_l, c_{l+1})
+        _check(l == 1 or a == chain[-1], "staircase chain breaks at step %d" % l)
+        chain += [a, b] if l == 1 else [b]
     _check(len(set(chain)) == len(chain), "staircase indices repeat")
-    corner = Mat.unit(QQ, S.n, S.idx[0], S.idx[-1])
-    sandwich = eval_word(cert.u1, mats) @ corner @ eval_word(cert.u2, mats)
-    _check(sandwich == Mat.unit(QQ, S.n, chain[0], chain[-1]),
+    _check(sandwich == [(chain[0], chain[-1])],
            "foundation does not match the staircase corner")
     if FWD in S.delta:
         _check(is_multilinear(cert.u1 + cert.u2 + sum(cert.ws, ())),
@@ -219,25 +222,21 @@ def _cert_for_pattern(delta: tuple) -> StaircaseCert:
 
 
 def cert_matrix(S: ThreeDiagSeq, cert: StaircaseCert, alpha, field: Field) -> Mat:
-    """Alt(w1(S),..,wr(S)) + alpha * u1(S) E_{i1 i_{k+1}} u2(S) over field."""
-    mats = td_matrices(S, field)
-    corner = Mat.unit(field, S.n, S.idx[0], S.idx[-1])
-    sandwich = eval_word(cert.u1, mats) @ corner @ eval_word(cert.u2, mats)
-    acc = Mat.zeros(field, S.n)
-    for l, w in enumerate(cert.ws, start=1):
-        val = eval_word(w, mats)
-        acc = acc + (val if l % 2 == 1 else -val)
-    return acc + sandwich * alpha
+    """Alt(w1(S),..,wr(S)) + alpha * u1(S) E_{i1 i_{k+1}} u2(S) over field,
+    summed cell by cell from the index walks."""
+    values, sandwich = _walks(S, cert)
+    rows = [[0] * S.n for _ in range(S.n)]
+    for l, cells in enumerate(values, start=1):
+        for a, b in cells:
+            rows[a - 1][b - 1] += 1 if l % 2 == 1 else -1
+    for a, b in sandwich:
+        rows[a - 1][b - 1] += field.raw(alpha)
+    return Mat(field, rows)
 
 
 def verify_cert(S: ThreeDiagSeq, cert: StaircaseCert, alphas, field: Field = QQ) -> bool:
-    """Independent check: rank of the certificate matrix at each alpha matches
-    (r-1)/2 at alpha = -1 and (r+1)/2 elsewhere, and the degree bounds hold."""
-    if not _check_degrees(S, cert):
-        return False
-    for alpha in alphas:
-        a = field.raw(alpha)
-        expected = (cert.r - 1) // 2 if a == field.raw(-1) else (cert.r + 1) // 2
-        if rank(cert_matrix(S, cert, a, field)) != expected:
-            return False
-    return True
+    """Independent check: the certificate keeps its shape, and the rank of
+    the certificate matrix at each alpha is cert.expected_rank."""
+    return _defect(S, cert) is None and all(
+        rank(cert_matrix(S, cert, a, field)) == cert.expected_rank(a, field)
+        for a in alphas)

@@ -184,11 +184,12 @@ def test_input_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["staircase", "--k", "0", "--delta="],
+    ["staircase", "--k", "256", "--delta=" + "F" * 256],
     ["verify", "--suite", "oracle", "--n", "0"],
     ["verify", "--suite", "oracle", "--p", "4"],
     ["verify", "--suite", "staircase", "--p", "4"],
     ["verify", "--suite", "staircase", "--k", "0"],
-    ["verify", "--suite", "staircase", "--k", "9"],
+    ["verify", "--suite", "staircase", "--k", "13"],
     ["verify", "--suite", "staircase", "--k", "20"],
     ["verify", "--suite", "oracle", "--trials", "-1"],
     # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound

@@ -64,6 +64,12 @@ def test_eval_size_mismatch():
         p.eval([Mat.zeros(QQ, 2), Mat.zeros(QQ, 3)])
     with pytest.raises(ValueError):
         p.eval([Mat.zeros(QQ, 2)])
+    # letters start at x1: no letter is read by negative or zero indexing
+    A, B = Mat.unit(QQ, 2, 1, 2), Mat.unit(QQ, 2, 2, 1)
+    with pytest.raises(ValueError):
+        eval_word((0,), [A, B])
+    with pytest.raises(ValueError):
+        NcPoly(QQ, 2, {(0,): 1, (-1,): 1}).eval([A, B])
 
 
 def test_formal_degree():
@@ -118,6 +124,11 @@ def test_text_roundtrip(rng, field):
         assert poly_from_text(field, repr(p)) == p
     assert word_from_text(word_text((1, 2, 1))) == (1, 2, 1)
     assert word_from_text("1") == ()
+    for text in ("x0", "x-1", "x1.x0"):
+        with pytest.raises(ValueError):
+            word_from_text(text)
+    with pytest.raises(ValueError):
+        poly_from_text(QQ, "x0 + 2*x-1")
     assert repr(NcPoly.zero(QQ)) == "0"
 
 

@@ -26,6 +26,17 @@ def _seq(idx, delta, n=None):
     return ThreeDiagSeq(tuple(idx), tuple(delta), n or max(idx))
 
 
+def _dense_cert_matrix(S, cert, alpha, field):
+    """The reference certificate matrix from td_matrices and eval_word
+    products: Alt(w1(S),..,wr(S)) + alpha * u1(S) E_{i1 i_{k+1}} u2(S)."""
+    mats = td_matrices(S, field)
+    corner = Mat.unit(field, S.n, S.idx[0], S.idx[-1])
+    acc = eval_word(cert.u1, mats) @ corner @ eval_word(cert.u2, mats) * alpha
+    for l, w in enumerate(cert.ws, start=1):
+        acc = acc + (eval_word(w, mats) if l % 2 == 1 else -eval_word(w, mats))
+    return acc
+
+
 def test_td_matrices_examples():
     S = _seq((1, 2), (FWD,), 2)
     assert td_matrices(S, QQ) == [Mat.unit(QQ, 2, 1, 2)]
@@ -126,6 +137,9 @@ def test_exhaustive_certificates(fieldname):
                     flat += w
                 assert is_multilinear(flat)
             assert verify_cert(S, cert, [field.elem(v) for v in ALPHAS], field)
+            for v in ALPHAS:
+                a = field.elem(v)
+                assert cert_matrix(S, cert, a, field) == _dense_cert_matrix(S, cert, a, field)
 
 
 def test_certificates_depend_only_on_delta(rng):
@@ -139,6 +153,23 @@ def test_certificates_depend_only_on_delta(rng):
         assert base == relabeled
         assert verify_cert(ThreeDiagSeq(idx, delta, n), relabeled,
                            [QQ.elem(v) for v in ALPHAS], QQ)
+        # the index walks against dense products, on relabelled indices in
+        # a larger n
+        S = ThreeDiagSeq(idx, delta, n + rng.randint(0, 3))
+        for field in (QQ, PrimeField(7)):
+            for v in ALPHAS:
+                a = field.elem(v)
+                assert cert_matrix(S, base, a, field) == _dense_cert_matrix(S, base, a, field)
+
+
+def test_long_pattern_certifies_cold():
+    import simspec.staircase as staircase
+
+    S = _seq(range(1, 33), tuple(FWD if l % 3 else REV for l in range(31)))
+    staircase._cert_for_pattern.cache_clear()
+    cert = staircase_cert(S)
+    assert cert.r % 2 == 1 and 1 <= cert.r <= 31
+    assert verify_cert(S, cert, [QQ.elem(v) for v in ALPHAS], QQ)
 
 
 def test_verify_cert_rejects_wrong_r():
@@ -146,6 +177,11 @@ def test_verify_cert_rejects_wrong_r():
     cert = staircase_cert(S)
     bogus = StaircaseCert(cert.ws + ((1,), (2,)), cert.u1, cert.u2)
     assert not verify_cert(S, bogus, [QQ.elem(-1)], QQ)
+    # letters outside x1..xk: read as the last letter (x0) or as the corner
+    # (x3 at k = 2), either would pass the rank formula
+    alphas = [QQ.elem(v) for v in ALPHAS]
+    assert not verify_cert(_seq((1, 2), (FWD,)), StaircaseCert(((0,),), (), ()), alphas)
+    assert not verify_cert(_seq((1, 2, 3), (FWD, FWD)), StaircaseCert(((3,),), (), ()), alphas)
 
 
 def test_seq_validation():
@@ -166,13 +202,17 @@ def test_cert_json():
 
 
 # wrong _reduce results for patterns not yet memoized: a broken staircase, an
-# r = 1 word whose value is not elementary, and an all-REV certificate whose
-# u2 has the right length but the wrong order
+# r = 1 word whose value is not elementary, an all-REV certificate whose
+# u2 has the right length but the wrong order, and letters below x1 and past
+# xk, which would pass if x0 were read as the last letter or x{k+1} as the
+# corner
 WRONG_REDUCTIONS = {
     "broken-staircase": ((REV, FWD, REV, FWD, REV, FWD),
                          StaircaseCert(((1,), (2,), (3,)), (), ())),
     "not-elementary": ((FWD, REV, FWD), StaircaseCert(((1, 2),), (), ())),
     "all-rev-u2-order": ((REV,) * 4, StaircaseCert(((1,),), (1,), (1, 2, 3, 4))),
+    "letter-zero": ((FWD,), StaircaseCert(((0,),), (), ())),
+    "letter-past-k": ((FWD, FWD), StaircaseCert(((3,),), (), ())),
 }
 
 
